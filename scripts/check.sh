@@ -4,7 +4,7 @@
 #
 #   scripts/check.sh [Debug|Release] [extra cmake args...]
 #       configure, build (benches included, so bench bitrot is caught at
-#       compile time), ctest.
+#       compile time), ctest, then ctest three more times in random order.
 #
 #   scripts/check.sh --sanitize=thread
 #   scripts/check.sh --sanitize=address,undefined
@@ -98,5 +98,9 @@ case "${MODE}" in
       "${ARGS[@]+"${ARGS[@]}"}"
     cmake --build "${BUILD_DIR}" -j "$(nproc)"
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
+    # Again, three times in shuffled order, so tests that share state
+    # (a fixed temp path, a global) race visibly.
+    ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
+      --repeat until-fail:3 --schedule-random
     ;;
 esac

@@ -18,6 +18,8 @@ PprEstimate* SolverContext::AcquireEstimate(NodeId n, NodeId source) {
     sparse_resets_++;
   }
   estimate_support_.clear();
+  estimate_support_tracked_ = false;
+  support_exported_ = false;
   // Dirty until the solve records its support via Export/Release; a
   // solver that errors out mid-query therefore costs one full assign,
   // never a stale workspace.
@@ -60,6 +62,23 @@ std::vector<double>* SolverContext::AcquireBlockScratch(size_t slot,
 
 void SolverContext::ExportEstimate(bool with_residues, PprResult* result) {
   const NodeId n = static_cast<NodeId>(estimate_.reserve.size());
+  estimate_clean_ = true;
+  support_exported_ = estimate_support_tracked_;
+  if (estimate_support_tracked_) {
+    result->scores.assign(n, 0.0);
+    for (NodeId v : estimate_support_) {
+      result->scores[v] = estimate_.reserve[v];
+    }
+    if (with_residues) {
+      result->residues.assign(n, 0.0);
+      for (NodeId v : estimate_support_) {
+        result->residues[v] = estimate_.residue[v];
+      }
+    } else {
+      result->residues.clear();
+    }
+    return;
+  }
   result->scores.resize(n);
   if (with_residues) {
     result->residues.resize(n);
@@ -74,11 +93,11 @@ void SolverContext::ExportEstimate(bool with_residues, PprResult* result) {
     if (with_residues) result->residues[v] = residue;
     if (reserve != 0.0 || residue != 0.0) estimate_support_.push_back(v);
   }
-  estimate_clean_ = true;
 }
 
 void SolverContext::ExportScores(PprResult* result) {
   const NodeId n = static_cast<NodeId>(scores_.size());
+  support_exported_ = false;
   result->scores.resize(n);
   result->residues.clear();
   scores_support_.clear();

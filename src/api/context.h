@@ -92,10 +92,32 @@ class SolverContext {
   /// so a warm context performs no per-query allocation for the remap.
   std::vector<double>* RemapScratch() { return &remap_scratch_; }
 
+  /// Hands a support-tracking kernel the list to fill for the estimate
+  /// just acquired (see ForwardPushOptions::support). The next
+  /// ExportEstimate then trusts it instead of scanning all n entries.
+  std::vector<NodeId>* TrackEstimateSupport() {
+    estimate_support_tracked_ = true;
+    return &estimate_support_;
+  }
+
   /// Copies the estimate workspace into result->scores (and, when
   /// `with_residues`, result->residues), recording the workspace support
-  /// so the next AcquireEstimate can sparse-reset.
+  /// so the next AcquireEstimate can sparse-reset. With a tracked
+  /// support the copy is a zero-fill of n plus a scatter of the support;
+  /// otherwise it scans both vectors. Either way every entry of the
+  /// result is rewritten, so nothing a reused result held survives.
   void ExportEstimate(bool with_residues, PprResult* result);
+
+  /// The tracked support behind the last ExportEstimate: every id
+  /// outside it holds exactly 0 in the exported vectors. nullptr after a
+  /// scanned export, any later Acquire/Export, or ForgetExportedSupport.
+  /// Solver::Solve takes top-k over it instead of over all n ids.
+  const std::vector<NodeId>* exported_support() const {
+    return support_exported_ ? &estimate_support_ : nullptr;
+  }
+  /// Solver::Solve calls this before every solve, so a support never
+  /// describes a result it did not export.
+  void ForgetExportedSupport() { support_exported_ = false; }
 
   /// Copies the score scratch into result->scores, recording support.
   void ExportScores(PprResult* result);
@@ -114,6 +136,7 @@ class SolverContext {
   void InvalidateWorkspace() {
     estimate_clean_ = false;
     scores_clean_ = false;
+    support_exported_ = false;
   }
 
   /// ContextPool bookkeeping: the pool epoch this context last saw,
@@ -138,6 +161,8 @@ class SolverContext {
   PprEstimate estimate_;
   std::vector<NodeId> estimate_support_;
   bool estimate_clean_ = false;  // support list describes all nonzeros
+  bool estimate_support_tracked_ = false;  // filled by the kernel
+  bool support_exported_ = false;          // see exported_support()
 
   std::vector<double> scores_;
   std::vector<NodeId> scores_support_;

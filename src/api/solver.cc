@@ -103,6 +103,7 @@ Status Solver::Solve(const PprQuery& query, SolverContext& context,
   result->epoch = 0;  // dynamic solvers stamp their epoch in DoSolve
   result->degraded = false;
   result->shard = kShardNone;  // the serving tier re-stamps on success
+  context.ForgetExportedSupport();
   if (perm_.empty()) {
     PPR_RETURN_IF_ERROR(DoSolve(query, context, result));
   } else {
@@ -130,7 +131,13 @@ Status Solver::Solve(const PprQuery& query, SolverContext& context,
   result->solver = name();
   result->l1_bound = AdvertisedL1Bound(query);
   if (query.top_k > 0) {
-    result->top_nodes = TopK(result->scores, query.top_k);
+    // Every id outside an exported support scored 0. Its ids are layout
+    // ids, so the order= remap keeps the dense form.
+    const std::vector<NodeId>* support =
+        perm_.empty() ? context.exported_support() : nullptr;
+    result->top_nodes = support != nullptr
+                            ? TopK(result->scores, *support, query.top_k)
+                            : TopK(result->scores, query.top_k);
   }
   return Status::OK();
 }

@@ -239,6 +239,9 @@ class ForwardPushSolver : public BatchSolver {
       result->stats = PriorityForwardPush(*graph_, query.source, options,
                                           estimate, context.trace());
     } else {
+      // The FIFO loop reports its support, so the export and top-k cost
+      // O(support) on top of one zero-fill instead of O(n) scans.
+      options.support = context.TrackEstimateSupport();
       result->stats =
           FifoForwardPush(*graph_, query.source, options, estimate,
                           context.trace(), context.AcquireQueue(n));

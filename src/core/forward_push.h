@@ -1,6 +1,8 @@
 #ifndef PPR_CORE_FORWARD_PUSH_H_
 #define PPR_CORE_FORWARD_PUSH_H_
 
+#include <vector>
+
 #include "core/trace.h"
 #include "core/workspace.h"
 #include "graph/graph.h"
@@ -29,6 +31,15 @@ struct ForwardPushOptions {
   /// operations; the loop exits early with a partial estimate. nullptr
   /// (the default) takes the unpolled path — bit-identical behavior.
   const CancelToken* cancel = nullptr;
+  /// Optional support tracking, which makes the solve output-sensitive.
+  /// When non-null, the start state must be the canonical one (reserve
+  /// ≡ 0, residue = e_source), as Reset() and a SolverContext sparse
+  /// reset leave it. The loop then seeds its queue from the source alone
+  /// instead of scanning all n residues, and replaces *support with the
+  /// nodes whose reserve or residue it made nonzero, each listed once.
+  /// Every node outside the list holds reserve = residue = 0 on return,
+  /// also after a cancelled solve.
+  std::vector<NodeId>* support = nullptr;
 };
 
 /// First-In-First-Out Forward Push — the "common implementation" whose

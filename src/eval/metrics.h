@@ -28,7 +28,17 @@ double PrecisionAtK(std::span<const double> estimate,
 /// descending by value, equal values broken by lower id first, NaNs
 /// ordered after every number (and among themselves by id). The same
 /// input always yields the same ids, NaN or not.
+/// One k-bounded heap scan over all n ids: O(n log k) worst case, no
+/// n-sized scratch.
 std::vector<uint32_t> TopK(std::span<const double> values, size_t k);
+
+/// TopK for a vector that is exactly 0 outside `support` (a duplicate-
+/// free id list, which may itself hold zeros). Returns the same ids as
+/// the dense form, in O((|support| + k) log k): it offers the nonzero
+/// support entries and the k lowest zero-valued ids, the only zeros that
+/// can rank.
+std::vector<uint32_t> TopK(std::span<const double> values,
+                           std::span<const uint32_t> support, size_t k);
 
 }  // namespace ppr
 

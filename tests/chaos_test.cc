@@ -25,6 +25,7 @@
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
+#include "test_util.h"
 
 // TSAN's instrumentation inflates wakeup latency past the queue's
 // 64µs initial backoff interval as a matter of course, so *pacing*
@@ -226,7 +227,8 @@ TEST(PprServerChaosTest, WalkIndexCacheFaultPointsCoverSaveAndLoad) {
   WalkIndex index = WalkIndex::Build(ChaosGraph(), 0.2,
                                      WalkIndex::Sizing::kSpeedPpr,
                                      /*walk_count_w=*/0, rng);
-  const std::string path = ::testing::TempDir() + "/chaos_index.bin";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("chaos_index.bin");
 
   FaultSpec spec;
   spec.error = StatusCode::kIOError;

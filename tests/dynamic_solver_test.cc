@@ -523,7 +523,8 @@ TEST(DynamicResizeTest, InvalidNodeBatchesLeaveStateUntouched) {
 TEST(DynamicResizeTest, UpdateStreamTextRoundTripsNodeOps) {
   UpdateBatch batch;
   batch.Insert(0, 1).AddNode().RemoveNode(2).Delete(1, 3).AddNode();
-  const std::string path = ::testing::TempDir() + "/node_ops_stream.txt";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("node_ops_stream.txt");
   ASSERT_TRUE(WriteUpdateStreamText(path, batch).ok());
   auto read = ReadUpdateStreamText(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();

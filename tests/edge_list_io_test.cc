@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace ppr {
@@ -14,13 +15,16 @@ namespace {
 class EdgeListIoTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    return ::testing::TempDir() + "/" + name;
+    return temp_dir_.File(name);
   }
 
   void WriteFile(const std::string& path, const std::string& content) {
     std::ofstream out(path);
     out << content;
   }
+
+ private:
+  testing::ScopedTempDir temp_dir_;
 };
 
 TEST_F(EdgeListIoTest, ReadsSnapFormat) {

@@ -1,6 +1,10 @@
 #include "core/forward_push.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -211,6 +215,103 @@ TEST(ForwardPushTest, TheoremBoundOnWork) {
     const double bound = (m / options.alpha) * std::log(1.0 / lambda) + 2 * m;
     EXPECT_LE(static_cast<double>(stats.edge_pushes), bound) << tc.name;
   }
+}
+
+/// Support tracking must only add the list: the same bits and counters
+/// as the scan-seeded loop, and a list without repeats that covers every
+/// nonzero node. Returns the list.
+std::vector<NodeId> ExpectTrackedRunMatches(const Graph& g, NodeId source,
+                                            ForwardPushOptions options,
+                                            const std::string& name) {
+  PprEstimate scanned;
+  scanned.Reset(g.num_nodes(), source);
+  options.assume_initialized = true;  // scan-seeded, untracked
+  const SolveStats scan_stats = FifoForwardPush(g, source, options, &scanned);
+
+  PprEstimate tracked;
+  tracked.Reset(g.num_nodes(), source);
+  std::vector<NodeId> support = {7, 7, 7};  // replaced, not appended to
+  options.support = &support;
+  const SolveStats stats = FifoForwardPush(g, source, options, &tracked);
+
+  EXPECT_TRUE(testing::BitEqual(tracked.reserve, scanned.reserve)) << name;
+  EXPECT_TRUE(testing::BitEqual(tracked.residue, scanned.residue)) << name;
+  EXPECT_EQ(stats.push_operations, scan_stats.push_operations) << name;
+  EXPECT_EQ(stats.edge_pushes, scan_stats.edge_pushes) << name;
+  EXPECT_EQ(stats.final_rsum, scan_stats.final_rsum) << name;
+
+  std::vector<NodeId> sorted = support;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << name << ": a node is listed twice";
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (tracked.reserve[v] != 0.0 || tracked.residue[v] != 0.0) {
+      EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), v))
+          << name << ": nonzero node " << v << " is not listed";
+    }
+  }
+  return support;
+}
+
+size_t CountNonzero(const Graph& g, NodeId source, double rmax) {
+  ForwardPushOptions options;
+  options.rmax = rmax;
+  PprEstimate estimate;
+  FifoForwardPush(g, source, options, &estimate);
+  size_t count = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    count += estimate.reserve[v] != 0.0 || estimate.residue[v] != 0.0;
+  }
+  return count;
+}
+
+TEST(ForwardPushTest, TrackedSupportListsEveryNonzeroNodeOnce) {
+  for (auto& tc : testing::SmallGraphZoo()) {
+    const NodeId source = tc.graph.num_nodes() / 2;
+    for (double rmax : {0.3, 1e-3, 1e-7}) {
+      ForwardPushOptions options;
+      options.rmax = rmax;
+      const std::vector<NodeId> support = ExpectTrackedRunMatches(
+          tc.graph, source, options, tc.name + " rmax=" + std::to_string(rmax));
+      EXPECT_EQ(support.size(), CountNonzero(tc.graph, source, rmax))
+          << tc.name << ": the list holds only nonzero nodes";
+    }
+    // An early stop leaves a partial state, as a cancelled solve does.
+    ForwardPushOptions options;
+    options.rmax = 1e-9;
+    options.stop_rsum = 0.5;
+    ExpectTrackedRunMatches(tc.graph, 0, options, tc.name + " stop_rsum");
+  }
+}
+
+TEST(ForwardPushTest, TrackedSupportHasNoRepeatsWhenAPushUnderflows) {
+  // Two paths from the source meet at node x. Along each, the residue
+  // decays to 2 denormal units, which (1 - alpha) * r rounds back to, so
+  // x is reached twice with r = 2 units. Its first push adds alpha * r,
+  // which rounds to 0, to its reserve: x is zero again when the second
+  // path arrives, and would be listed twice. Past x, node z has four
+  // out-edges and never exceeds its threshold, so the run ends.
+  constexpr NodeId kShort = 3500;
+  constexpr NodeId kLong = kShort + 5;
+  const NodeId x = 1 + kShort + kLong;
+  const NodeId z = x + 1;
+  GraphBuilder b;
+  NodeId next = 1;
+  for (NodeId length : {kShort, kLong}) {
+    b.AddEdge(0, next);
+    for (NodeId i = 1; i < length; ++i, ++next) b.AddEdge(next, next + 1);
+    b.AddEdge(next++, x);
+  }
+  b.AddEdge(x, z);
+  for (NodeId leaf = z + 1; leaf <= z + 4; ++leaf) b.AddEdge(z, leaf);
+  const Graph g = b.Build();
+  ASSERT_EQ(g.num_nodes(), z + 5);
+
+  ForwardPushOptions options;
+  options.rmax = std::numeric_limits<double>::denorm_min();
+  const std::vector<NodeId> support =
+      ExpectTrackedRunMatches(g, 0, options, "two_paths");
+  EXPECT_EQ(std::count(support.begin(), support.end(), x), 1);
 }
 
 }  // namespace

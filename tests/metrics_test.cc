@@ -1,6 +1,10 @@
 #include "eval/metrics.h"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -65,6 +69,64 @@ TEST(MetricsTest, TopKNansOrderLastDeterministically) {
   EXPECT_EQ(TopK(values, 5), top);
   // A k that cuts inside the NaN tail still picks the lower ids.
   EXPECT_EQ(TopK(values, 4), (std::vector<uint32_t>{3, 1, 4, 0}));
+}
+
+/// Reference for TopK: a full sort under the documented order.
+std::vector<uint32_t> SortedTopK(const std::vector<double>& values, size_t k) {
+  std::vector<uint32_t> ids(values.size());
+  for (uint32_t v = 0; v < ids.size(); ++v) ids[v] = v;
+  std::sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
+    const bool nan_a = std::isnan(values[a]);
+    const bool nan_b = std::isnan(values[b]);
+    if (nan_a != nan_b) return nan_b;
+    if (!nan_a && values[a] != values[b]) return values[a] > values[b];
+    return a < b;
+  });
+  ids.resize(std::min(k, ids.size()));
+  return ids;
+}
+
+TEST(MetricsTest, SupportTopKMatchesDenseTopKOnRandomInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Few distinct values, so ties are common; explicit zeros (both signs),
+  // NaNs and negatives inside the support; k from 0 to past n.
+  const std::vector<double> pool = {0.5, 0.25, 0.25, 1e-9, 0.0, -0.0,
+                                    -0.125, nan, 3.0};
+  std::mt19937 rng(20261017);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const uint32_t n = 1 + rng() % 40;
+    const size_t k = rng() % (n + 4);
+    const uint32_t percent_in_support = rng() % 101;
+    std::vector<double> values(n, 0.0);
+    std::vector<uint32_t> support;
+    for (uint32_t v = 0; v < n; ++v) {
+      if (rng() % 100 >= percent_in_support) continue;
+      support.push_back(v);
+      values[v] = rng() % 4 == 0 ? static_cast<double>(rng() % 1000) / 7.0
+                                 : pool[rng() % pool.size()];
+    }
+    std::shuffle(support.begin(), support.end(), rng);
+    const std::vector<uint32_t> expected = SortedTopK(values, k);
+    ASSERT_EQ(TopK(values, k), expected) << "trial " << trial;
+    ASSERT_EQ(TopK(values, support, k), expected)
+        << "trial " << trial << " n=" << n << " k=" << k
+        << " support=" << support.size();
+  }
+}
+
+TEST(MetricsTest, SupportTopKFillsFromLowestZeroIds) {
+  // Fewer nonzeros than k: the rest of the answer is the lowest ids that
+  // hold 0, inside the support (id 1) or outside it.
+  std::vector<double> values(10, 0.0);
+  values[7] = 0.5;
+  values[3] = 0.25;
+  const std::vector<uint32_t> support = {7, 1, 3};
+  const std::vector<uint32_t> expected = {7, 3, 0, 1, 2};
+  EXPECT_EQ(TopK(values, support, 5), expected);
+  EXPECT_EQ(TopK(values, 5), expected);
+  EXPECT_EQ(TopK(values, support, 0), std::vector<uint32_t>{});
+  EXPECT_EQ(TopK(values, support, 100), SortedTopK(values, 100));
+  EXPECT_EQ(TopK(values, {}, 3), (std::vector<uint32_t>{0, 1, 2}));
 }
 
 TEST(MetricsTest, PrecisionAtKPerfectAndDisjoint) {

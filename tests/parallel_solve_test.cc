@@ -439,13 +439,6 @@ TEST(RegistryParallelTest, RejectsAbsurdThreadCounts) {
 // cache_dir=
 // ---------------------------------------------------------------------
 
-std::string CacheDir() {
-  const std::string dir = ::testing::TempDir() + "/ppr_widx_cache";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 std::vector<double> SolveOnce(const std::string& spec, const Graph& graph) {
   auto created = SolverRegistry::Global().Create(spec);
   EXPECT_TRUE(created.ok()) << spec << ": " << created.status().ToString();
@@ -459,7 +452,8 @@ std::vector<double> SolveOnce(const std::string& spec, const Graph& graph) {
 
 TEST(WalkIndexCacheTest, PrepareSavesAndSecondPrepareLoads) {
   const Graph graph = testing::SmallGraphZoo()[7].graph;  // ba_120
-  const std::string dir = CacheDir();
+  const testing::ScopedTempDir cache_dir;
+  const std::string& dir = cache_dir.path();
   const std::string spec =
       "speedppr-index:eps=0.4,seed=5,cache_dir=" + dir;
   const std::string cache_path =
@@ -487,8 +481,6 @@ TEST(WalkIndexCacheTest, PrepareSavesAndSecondPrepareLoads) {
     out << "not an index";
   }
   EXPECT_EQ(SolveOnce(spec, graph), first);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(WalkIndexCacheTest, TruncatedCacheFromMidWriteCrashRebuilds) {
@@ -498,7 +490,8 @@ TEST(WalkIndexCacheTest, TruncatedCacheFromMidWriteCrashRebuilds) {
   // Prepare must fall back to a rebuild — same answer as the first,
   // uncorrupted run — and then replace the file with a complete one.
   const Graph graph = testing::SmallGraphZoo()[7].graph;  // ba_120
-  const std::string dir = CacheDir();
+  const testing::ScopedTempDir cache_dir;
+  const std::string& dir = cache_dir.path();
   const std::string spec =
       "speedppr-index:eps=0.4,seed=5,cache_dir=" + dir;
   const std::string cache_path =
@@ -516,8 +509,6 @@ TEST(WalkIndexCacheTest, TruncatedCacheFromMidWriteCrashRebuilds) {
 
   EXPECT_EQ(SolveOnce(spec, graph), first);
   EXPECT_EQ(std::filesystem::file_size(cache_path), full_size);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(WalkIndexCacheTest, StaleCacheFromAnEarlierEpochIsRejected) {
@@ -526,7 +517,8 @@ TEST(WalkIndexCacheTest, StaleCacheFromAnEarlierEpochIsRejected) {
   // fingerprint, but a copied/renamed/colliding file defeats names — the
   // embedded fingerprint check at load time is what must hold the line.
   const Graph graph = testing::SmallGraphZoo()[7].graph;  // ba_120
-  const std::string dir = CacheDir();
+  const testing::ScopedTempDir cache_dir;
+  const std::string& dir = cache_dir.path();
   const std::string spec =
       "speedppr-index:eps=0.4,seed=5,cache_dir=" + dir;
 
@@ -563,8 +555,6 @@ TEST(WalkIndexCacheTest, StaleCacheFromAnEarlierEpochIsRejected) {
   auto reloaded = WalkIndex::LoadFrom(updated_cache);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded.value().graph_fingerprint(), updated.Fingerprint());
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(WalkIndexCacheTest, UnwritableCacheDirDegradesToWarning) {

@@ -18,7 +18,8 @@ namespace {
 
 TEST(RobustnessTest, EdgeListReaderSurvivesRandomBytes) {
   Rng rng(1);
-  const std::string path = ::testing::TempDir() + "/fuzz_input.txt";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("fuzz_input.txt");
   for (int trial = 0; trial < 50; ++trial) {
     {
       std::ofstream out(path, std::ios::binary);
@@ -49,7 +50,8 @@ TEST(RobustnessTest, EdgeListReaderSurvivesRandomBytes) {
 
 TEST(RobustnessTest, UpdateStreamReaderSurvivesRandomBytes) {
   Rng rng(4);
-  const std::string path = ::testing::TempDir() + "/fuzz_updates.txt";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("fuzz_updates.txt");
   for (int trial = 0; trial < 50; ++trial) {
     {
       std::ofstream out(path, std::ios::binary);
@@ -94,7 +96,8 @@ TEST(RobustnessTest, WalkIndexLoaderSurvivesRandomBytes) {
   // crashed saver or scribbled on — random bytes must produce a clean
   // Status, never a crash or a giant allocation.
   Rng rng(5);
-  const std::string path = ::testing::TempDir() + "/fuzz_walk_index.bin";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("fuzz_walk_index.bin");
   for (int trial = 0; trial < 50; ++trial) {
     {
       std::ofstream out(path, std::ios::binary);
@@ -124,7 +127,8 @@ TEST(RobustnessTest, WalkIndexLoaderRejectsHostileHeader) {
   Rng rng(6);
   WalkIndex valid =
       WalkIndex::Build(g, 0.2, WalkIndex::Sizing::kSpeedPpr, 0, rng);
-  const std::string path = ::testing::TempDir() + "/hostile_walk_index.bin";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("hostile_walk_index.bin");
   ASSERT_TRUE(valid.SaveTo(path).ok());
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -140,7 +144,8 @@ TEST(RobustnessTest, WalkIndexLoaderRejectsHostileHeader) {
 
 TEST(RobustnessTest, GraphBinaryReaderSurvivesRandomBytes) {
   Rng rng(2);
-  const std::string path = ::testing::TempDir() + "/fuzz_graph.bin";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("fuzz_graph.bin");
   for (int trial = 0; trial < 50; ++trial) {
     {
       std::ofstream out(path, std::ios::binary);
@@ -157,7 +162,8 @@ TEST(RobustnessTest, GraphBinaryReaderSurvivesRandomBytes) {
 TEST(RobustnessTest, GraphBinaryReaderRejectsHostileHeader) {
   // A valid magic followed by absurd counts must fail cleanly (not OOM):
   // the reader's reads hit EOF before any giant allocation is usable.
-  const std::string path = ::testing::TempDir() + "/hostile_graph.bin";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("hostile_graph.bin");
   {
     std::ofstream out(path, std::ios::binary);
     const uint64_t magic = 0x5050523147524248ULL;

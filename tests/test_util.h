@@ -1,9 +1,17 @@
 #ifndef PPR_TESTS_TEST_UTIL_H_
 #define PPR_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -67,6 +75,50 @@ inline double Sum(const std::vector<double>& v) {
   for (double x : v) s += x;
   return s;
 }
+
+/// True iff a and b hold the same bit patterns (so 0.0 differs from
+/// -0.0 and a NaN equals itself) — the "bit-identical" of the suite.
+inline bool BitEqual(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// A directory under ::testing::TempDir() private to the running test
+/// and process ("<suite>.<test>.<pid>"), removed with its contents on
+/// destruction. ctest runs every test as its own process, in parallel
+/// under -j, so a fixed path shared by two tests races.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = test == nullptr ? std::string("no_test")
+                                       : std::string(test->test_suite_name()) +
+                                             "." + test->name();
+    std::replace(name.begin(), name.end(), '/', '_');  // parameterized
+    path_ = (std::filesystem::path(::testing::TempDir()) /
+             (name + "." + std::to_string(::getpid())))
+                .string();
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  std::string File(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
 
 /// A small zoo of structurally diverse graphs for property sweeps.
 struct TestGraphCase {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace ppr {
 namespace {
 
@@ -24,7 +26,8 @@ TEST(TraceExportTest, CsvHasHeaderAndRows) {
 }
 
 TEST(TraceExportTest, RoundTrip) {
-  std::string path = ::testing::TempDir() + "/traces.csv";
+  testing::ScopedTempDir temp_dir;
+  std::string path = temp_dir.File("traces.csv");
   auto series = SampleSeries();
   ASSERT_TRUE(WriteTracesCsv(path, series).ok());
   auto loaded = ReadTracesCsv(path);
@@ -38,7 +41,8 @@ TEST(TraceExportTest, RoundTrip) {
 }
 
 TEST(TraceExportTest, EmptySeriesRoundTrips) {
-  std::string path = ::testing::TempDir() + "/empty.csv";
+  testing::ScopedTempDir temp_dir;
+  std::string path = temp_dir.File("empty.csv");
   ASSERT_TRUE(WriteTracesCsv(path, {}).ok());
   auto loaded = ReadTracesCsv(path);
   ASSERT_TRUE(loaded.ok());
@@ -46,7 +50,8 @@ TEST(TraceExportTest, EmptySeriesRoundTrips) {
 }
 
 TEST(TraceExportTest, RejectsBadHeader) {
-  std::string path = ::testing::TempDir() + "/bad_header.csv";
+  testing::ScopedTempDir temp_dir;
+  std::string path = temp_dir.File("bad_header.csv");
   {
     std::ofstream out(path);
     out << "nope\n";
@@ -57,7 +62,8 @@ TEST(TraceExportTest, RejectsBadHeader) {
 }
 
 TEST(TraceExportTest, RejectsMalformedRow) {
-  std::string path = ::testing::TempDir() + "/bad_row.csv";
+  testing::ScopedTempDir temp_dir;
+  std::string path = temp_dir.File("bad_row.csv");
   {
     std::ofstream out(path);
     out << "label,seconds,updates,rsum\n";
@@ -69,7 +75,8 @@ TEST(TraceExportTest, RejectsMalformedRow) {
 }
 
 TEST(TraceExportTest, MissingFileIsIOError) {
-  auto loaded = ReadTracesCsv(::testing::TempDir() + "/nonexistent.csv");
+  testing::ScopedTempDir temp_dir;
+  auto loaded = ReadTracesCsv(temp_dir.File("nonexistent.csv"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }

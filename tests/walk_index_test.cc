@@ -97,7 +97,8 @@ TEST(WalkIndexTest, SerializationRoundTrip) {
   Rng rng(7);
   WalkIndex index =
       WalkIndex::Build(g, 0.2, WalkIndex::Sizing::kSpeedPpr, 0, rng);
-  std::string path = ::testing::TempDir() + "/walk_index.bin";
+  testing::ScopedTempDir temp_dir;
+  std::string path = temp_dir.File("walk_index.bin");
   ASSERT_TRUE(index.SaveTo(path).ok());
   auto loaded = WalkIndex::LoadFrom(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -120,9 +121,8 @@ TEST(WalkIndexTest, SaveLeavesNoTempFilesBehind) {
   Rng rng(8);
   WalkIndex index =
       WalkIndex::Build(g, 0.2, WalkIndex::Sizing::kSpeedPpr, 0, rng);
-  const std::string dir = ::testing::TempDir() + "/atomic_save_dir";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  testing::ScopedTempDir temp_dir;
+  const std::string dir = temp_dir.path();
   ASSERT_TRUE(index.SaveTo(dir + "/index.bin").ok());
   size_t entries = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -130,7 +130,6 @@ TEST(WalkIndexTest, SaveLeavesNoTempFilesBehind) {
     EXPECT_EQ(entry.path().filename(), "index.bin");
   }
   EXPECT_EQ(entries, 1u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(WalkIndexTest, LoadRejectsHostileHeaderCounts) {
@@ -141,7 +140,8 @@ TEST(WalkIndexTest, LoadRejectsHostileHeaderCounts) {
   Rng rng(9);
   WalkIndex index =
       WalkIndex::Build(g, 0.2, WalkIndex::Sizing::kSpeedPpr, 0, rng);
-  const std::string path = ::testing::TempDir() + "/hostile_index.bin";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("hostile_index.bin");
   ASSERT_TRUE(index.SaveTo(path).ok());
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -162,7 +162,8 @@ TEST(WalkIndexTest, LoadRejectsTruncatedFile) {
   Rng rng(10);
   WalkIndex index =
       WalkIndex::Build(g, 0.2, WalkIndex::Sizing::kSpeedPpr, 0, rng);
-  const std::string path = ::testing::TempDir() + "/truncated_index.bin";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("truncated_index.bin");
   ASSERT_TRUE(index.SaveTo(path).ok());
   const auto full = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full * 3 / 5);
@@ -176,7 +177,8 @@ TEST(WalkIndexTest, LoadRejectsNonMonotonicOffsets) {
   Rng rng(11);
   WalkIndex index =
       WalkIndex::Build(g, 0.2, WalkIndex::Sizing::kSpeedPpr, 0, rng);
-  const std::string path = ::testing::TempDir() + "/nonmonotonic_index.bin";
+  testing::ScopedTempDir temp_dir;
+  const std::string path = temp_dir.File("nonmonotonic_index.bin");
   ASSERT_TRUE(index.SaveTo(path).ok());
   {
     // Overwrite offsets_[1] with the total walk count: front/back stay
@@ -192,7 +194,8 @@ TEST(WalkIndexTest, LoadRejectsNonMonotonicOffsets) {
 }
 
 TEST(WalkIndexTest, LoadRejectsGarbage) {
-  std::string path = ::testing::TempDir() + "/garbage_index.bin";
+  testing::ScopedTempDir temp_dir;
+  std::string path = temp_dir.File("garbage_index.bin");
   {
     std::ofstream out(path);
     out << "garbage";
@@ -225,7 +228,8 @@ TEST(WalkIndexTest, BuildRecordsTheGraphFingerprint) {
       g, 0.2, WalkIndex::Sizing::kSpeedPpr, 0, /*seed=*/5);
   EXPECT_EQ(index.graph_fingerprint(), g.Fingerprint());
 
-  std::string path = ::testing::TempDir() + "/fingerprinted_index.bin";
+  testing::ScopedTempDir temp_dir;
+  std::string path = temp_dir.File("fingerprinted_index.bin");
   ASSERT_TRUE(index.SaveTo(path).ok());
   auto loaded = WalkIndex::LoadFrom(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
