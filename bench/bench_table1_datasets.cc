@@ -3,7 +3,8 @@
 // the stand-ins preserve the originals' heavy-tailed structure, plus a
 // registry-driven reference column: the paper solver's ("powerpush" at
 // the paper lambda, dispatched purely through SolverRegistry) median
-// time per query on each dataset. Emits BENCH_table1.json.
+// time per query on each dataset. Emits BENCH_table1.json, which also
+// records each dataset's build time and CSR fingerprint.
 
 #include <cstdio>
 #include <memory>
@@ -30,7 +31,7 @@ int main() {
   bench::BenchJsonWriter json("table1");
   TablePrinter table({"Name", "Stands in for", "n", "m", "m/n", "Type",
                       "max outdeg", "top1% share", "dead ends",
-                      "powerpush t/q"});
+                      "build", "powerpush t/q"});
   for (const auto& named : LoadBenchDatasets(bench::kDefaultScale)) {
     const DatasetSpec& spec = FindDataset(named.name);
     GraphStats stats = ComputeGraphStats(named.graph);
@@ -52,11 +53,15 @@ int main() {
         TimePerQuery(*solver, context,
                      SampleQuerySources(named.graph, query_count), base));
 
+    char fingerprint[32];
+    std::snprintf(fingerprint, sizeof(fingerprint), "0x%016llx",
+                  static_cast<unsigned long long>(named.graph.Fingerprint()));
     table.AddRow({named.name, named.paper_name, HumanCount(stats.num_nodes),
                   HumanCount(stats.num_edges), mn,
                   spec.directed ? "directed" : "undirected",
                   std::to_string(stats.max_out_degree), share,
-                  std::to_string(stats.dead_ends), HumanSeconds(median)});
+                  std::to_string(stats.dead_ends),
+                  HumanSeconds(named.build_seconds), HumanSeconds(median)});
     json.Add()
         .Str("dataset", named.name)
         .Str("paper_name", named.paper_name)
@@ -66,7 +71,9 @@ int main() {
         .Int("max_out_degree", stats.max_out_degree)
         .Num("top1pct_degree_share", stats.top1pct_degree_share)
         .Int("dead_ends", stats.dead_ends)
-        .Num("powerpush_median_seconds", median);
+        .Num("powerpush_median_seconds", median)
+        .Num("build_seconds", named.build_seconds)
+        .Str("fingerprint", fingerprint);
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("Paper m/n targets: DBLP 6.62, Web-St 8.20, Pokec 18.8, "

@@ -31,8 +31,10 @@ std::vector<NamedGraph> LoadBenchDatasets(double scale, size_t max_count) {
     if (max_count != 0 && result.size() >= max_count) break;
     PPR_LOG(Info) << "generating " << spec.name << " (stand-in for "
                   << spec.paper_name << ") at scale " << scale * env_scale;
-    result.push_back(
-        {spec.name, spec.paper_name, MakeDataset(spec, scale * env_scale)});
+    Timer timer;
+    Graph graph = MakeDataset(spec, scale * env_scale);
+    result.push_back({spec.name, spec.paper_name, std::move(graph),
+                      timer.ElapsedSeconds()});
   }
   return result;
 }

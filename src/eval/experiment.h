@@ -18,6 +18,7 @@ struct NamedGraph {
   std::string name;        ///< e.g. "dblp-sim"
   std::string paper_name;  ///< e.g. "DBLP"
   Graph graph;
+  double build_seconds = 0;  ///< wall time of MakeDataset (generate + build)
 };
 
 /// Materializes the six paper stand-ins at the given scale (multiplied by

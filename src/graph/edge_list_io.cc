@@ -33,10 +33,11 @@ Result<std::vector<Edge>> ReadEdgeListText(const std::string& path) {
       return Status::Corruption(path + ":" + std::to_string(line_no) +
                                 ": malformed node id");
     }
-    if (src > std::numeric_limits<NodeId>::max() ||
-        dst > std::numeric_limits<NodeId>::max()) {
+    // GraphBuilder needs max id + 1 to fit a NodeId.
+    if (src >= std::numeric_limits<NodeId>::max() ||
+        dst >= std::numeric_limits<NodeId>::max()) {
       return Status::OutOfRange(path + ":" + std::to_string(line_no) +
-                                ": node id exceeds 32 bits");
+                                ": node id must be below 2^32 - 1");
     }
     edges.push_back({static_cast<NodeId>(src), static_cast<NodeId>(dst)});
   }

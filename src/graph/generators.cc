@@ -198,27 +198,31 @@ Graph BarabasiAlbert(NodeId n, NodeId edges_per_node, Rng& rng) {
 Graph ChungLuPowerLaw(NodeId n, double avg_degree, double exponent, Rng& rng,
                       bool symmetrize) {
   PPR_CHECK(n >= 2 && avg_degree > 0);
-  std::vector<double> weights = PowerLawWeights(n, exponent);
-
-  // Independent hub assignments for the two endpoints.
-  std::vector<NodeId> out_perm(n);
-  std::vector<NodeId> in_perm(n);
-  std::iota(out_perm.begin(), out_perm.end(), 0);
-  std::iota(in_perm.begin(), in_perm.end(), 0);
-  std::shuffle(out_perm.begin(), out_perm.end(), rng);
-  std::shuffle(in_perm.begin(), in_perm.end(), rng);
-
-  AliasTable table(weights);
   EdgeId target = static_cast<EdgeId>(std::llround(avg_degree * n));
   if (symmetrize) target /= 2;
   GraphBuilder builder;
   builder.Reserve(target + target / 16);
-  EdgeId to_draw = target + target / 24 + 8;  // headroom for dedup losses
-  for (EdgeId i = 0; i < to_draw; ++i) {
-    NodeId u = out_perm[table.Sample(rng)];
-    NodeId v = in_perm[table.Sample(rng)];
-    if (u == v) continue;
-    builder.AddEdge(u, v);
+  {
+    // The sampling state is released before the build, which then has
+    // the memory to itself.
+    std::vector<double> weights = PowerLawWeights(n, exponent);
+
+    // Independent hub assignments for the two endpoints.
+    std::vector<NodeId> out_perm(n);
+    std::vector<NodeId> in_perm(n);
+    std::iota(out_perm.begin(), out_perm.end(), 0);
+    std::iota(in_perm.begin(), in_perm.end(), 0);
+    std::shuffle(out_perm.begin(), out_perm.end(), rng);
+    std::shuffle(in_perm.begin(), in_perm.end(), rng);
+
+    AliasTable table(weights);
+    EdgeId to_draw = target + target / 24 + 8;  // headroom for dedup losses
+    for (EdgeId i = 0; i < to_draw; ++i) {
+      NodeId u = out_perm[table.Sample(rng)];
+      NodeId v = in_perm[table.Sample(rng)];
+      if (u == v) continue;
+      builder.AddEdge(u, v);
+    }
   }
   BuildOptions options;
   options.symmetrize = symmetrize;

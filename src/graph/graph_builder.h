@@ -43,7 +43,11 @@ class GraphBuilder {
   /// left empty and reusable.
   Graph Build(const BuildOptions& options = {});
 
-  /// Convenience: builds a graph directly from an edge vector.
+  /// Builds a graph directly from an edge vector, in O(m + sum of
+  /// d_v log d_v) time by a counting sort on the source (see "Building
+  /// graphs" in docs/api.md). The result depends only on the multiset
+  /// of edges, not on their order. Ids must be below 2^32 - 1; a larger
+  /// one aborts.
   static Graph FromEdges(std::vector<Edge> edges,
                          const BuildOptions& options = {});
 

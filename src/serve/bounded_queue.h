@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <utility>
@@ -18,6 +19,21 @@ enum class QueuePushResult {
   kAdmitted,  // item is in the queue
   kClosed,    // queue closed before the item could be admitted
   kTimedOut,  // admission deadline passed while the queue stayed full
+};
+
+/// How a PushUntil call paced itself, for the regression tests of its
+/// backoff. Every wait either runs its full interval or is woken early
+/// (by a consumer, a close or spuriously); only full waits double the
+/// backoff, so it ends at kInitialBackoff * 2^full_waits, capped at
+/// kMaxBackoff.
+struct QueuePushPacing {
+  /// The backoff interval the call ended at (kInitialBackoff when no
+  /// check found the queue full).
+  std::chrono::microseconds backoff{0};
+  /// Waits on the full queue, and those among them that ran their full
+  /// interval; the rest were woken early.
+  uint32_t waits = 0;
+  uint32_t full_waits = 0;
 };
 
 /// A bounded multi-producer multi-consumer FIFO — the PprServer's
@@ -83,24 +99,25 @@ class BoundedQueue {
   /// backoff rounds it took, which is what lets the server count one
   /// refused submission exactly once in stats().rejected.
   ///
-  /// `*backoff_after`, when non-null, receives the backoff interval the
-  /// producer ended at — observable pacing for the regression tests
-  /// (kInitialBackoff when the queue was never full at a check).
+  /// `*pacing`, when non-null, receives the call's waits and the
+  /// backoff it ended at (see QueuePushPacing).
   QueuePushResult PushUntil(T item,
                             std::chrono::steady_clock::time_point deadline,
                             bool* saw_full = nullptr,
-                            std::chrono::microseconds* backoff_after = nullptr)
+                            QueuePushPacing* pacing = nullptr)
       PPR_EXCLUDES(mu_) {
     constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
     std::chrono::microseconds delay = kInitialBackoff;
-    auto record_backoff = [&] {
-      if (backoff_after != nullptr) *backoff_after = delay;
+    QueuePushPacing counts;
+    auto record_pacing = [&] {
+      counts.backoff = delay;
+      if (pacing != nullptr) *pacing = counts;
     };
     {
       MutexLock lock(mu_);
       while (items_.size() >= capacity_) {
         if (closed_) {
-          record_backoff();
+          record_pacing();
           return QueuePushResult::kClosed;
         }
         if (saw_full != nullptr) *saw_full = true;
@@ -108,7 +125,7 @@ class BoundedQueue {
         if (deadline != kNoDeadline) {
           const auto now = std::chrono::steady_clock::now();
           if (now >= deadline) {
-            record_backoff();
+            record_pacing();
             return QueuePushResult::kTimedOut;
           }
           wait = std::min(
@@ -117,19 +134,21 @@ class BoundedQueue {
         }
         const auto wait_start = std::chrono::steady_clock::now();
         producer_cv_.WaitFor(lock, wait);
+        ++counts.waits;
         if (std::chrono::steady_clock::now() - wait_start >= wait) {
           // The full interval elapsed with no slot: genuine sustained
           // pressure, escalate. Early wakeups keep the current pace.
+          ++counts.full_waits;
           delay = std::min(delay * 2, kMaxBackoff);
         }
       }
       if (closed_) {
-        record_backoff();
+        record_pacing();
         return QueuePushResult::kClosed;
       }
       items_.push_back(std::move(item));
     }
-    record_backoff();
+    record_pacing();
     consumer_cv_.NotifyOne();
     return QueuePushResult::kAdmitted;
   }

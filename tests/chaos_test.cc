@@ -517,6 +517,14 @@ TEST(PprServerQueueTest, PushUntilAdmitsOnceAConsumerDrains) {
   EXPECT_EQ(queue.size(), 1u);
 }
 
+// The backoff a PushUntil call must end at after `full_waits` waits that
+// ran their full interval: one doubling per full wait, up to the cap.
+std::chrono::microseconds BackoffAfterFullWaits(uint32_t full_waits) {
+  using Queue = BoundedQueue<int>;
+  return std::min(Queue::kInitialBackoff * (1 << std::min(full_waits, 8u)),
+                  Queue::kMaxBackoff);
+}
+
 TEST(PprServerQueueTest, BackoffEscalatesOnlyOnFullyElapsedWaits) {
   // A producer left waiting on a full queue with no consumer sees every
   // wait run its full interval, so the backoff must walk all the way up
@@ -524,14 +532,16 @@ TEST(PprServerQueueTest, BackoffEscalatesOnlyOnFullyElapsedWaits) {
   BoundedQueue<int> queue(1);
   ASSERT_TRUE(queue.TryPush(1));
   bool saw_full = false;
-  std::chrono::microseconds backoff{0};
+  QueuePushPacing pacing;
   const QueuePushResult result =
       queue.PushUntil(2, steady_clock::now() + std::chrono::milliseconds(80),
-                      &saw_full, &backoff);
+                      &saw_full, &pacing);
   EXPECT_EQ(result, QueuePushResult::kTimedOut);
   EXPECT_TRUE(saw_full);
   // 64µs doubling per elapsed round reaches 8192µs well inside 80ms.
-  EXPECT_EQ(backoff, BoundedQueue<int>::kMaxBackoff);
+  EXPECT_EQ(pacing.backoff, BoundedQueue<int>::kMaxBackoff);
+  EXPECT_GE(pacing.full_waits, 7u);
+  EXPECT_EQ(pacing.backoff, BackoffAfterFullWaits(pacing.full_waits));
 }
 
 TEST(PprServerQueueTest, ConsumerNotifiedWakeupsDoNotEscalateBackoff) {
@@ -541,68 +551,55 @@ TEST(PprServerQueueTest, ConsumerNotifiedWakeupsDoNotEscalateBackoff) {
   // congestion — doubling on them walked the producer up to the 8ms max
   // and throttled it against a queue that was never saturated for long.
   // With the fix, a backoff round only escalates after a wait that ran
-  // its full interval, so hundreds of notify-then-lose cycles leave the
-  // pace near the initial interval.
+  // its full interval.
   BoundedQueue<int> queue(1);
   ASSERT_TRUE(queue.TryPush(1));
 
   std::atomic<bool> stop{false};
   // The racing pair: a consumer that frees the slot (waking the waiting
-  // producer) and a rival producer that immediately re-fills it. The
-  // waiting PushUntil keeps losing without ever seeing a full interval
-  // elapse uninterrupted.
+  // producer) and a rival producer that at once tries to re-fill it. A
+  // rival that loses the slot to the waiting producer pops again rather
+  // than spinning on a full queue, so the churn never stalls.
   std::thread churn([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      if (queue.Pop().has_value()) {
-        while (!queue.TryPush(0) && !stop.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-      }
+      if (queue.Pop().has_value()) queue.TryPush(0);
     }
   });
 
+  // Each attempt counts its waits: a wait either runs its full interval
+  // or is woken early (here, almost always by churn's Pop). The property
+  // is counted, not timed: the backoff the call ended at must be the
+  // initial one doubled once per full wait, however slow the machine.
+  // The always-double bug doubles on every wait, so it ends above that
+  // as soon as one wait was woken early before the cap. An attempt
+  // admitted by its very first check (between churn's pop and re-push)
+  // never waits and exercises nothing, hence many attempts and the
+  // check below that at least one wait was woken early.
   bool saw_full = false;
-  std::chrono::microseconds backoff{0};
-  QueuePushResult result = QueuePushResult::kAdmitted;
-  // Two kinds of run are ambiguous and get retried. An attempt whose
-  // very first TryPush sneaks into the instant between churn's pop and
-  // re-push is admitted without ever waiting (vacuous — the property
-  // was never exercised). And on a loaded machine (or under TSAN's
-  // instrumentation slowdown) the churn thread can be starved long
-  // enough that the queue is *genuinely* full for whole intervals, so
-  // one attempt's escalation is correct behavior, not the regression.
-  // The always-double bug escalates to the max on essentially every
-  // attempt, so a single cleanly-paced attempt is a sound verdict.
-  for (int attempt = 0; attempt < 6; ++attempt) {
+  uint32_t notified = 0;
+  for (int attempt = 0; attempt < 20; ++attempt) {
     bool attempt_full = false;
-    std::chrono::microseconds attempt_backoff{0};
-    result = queue.PushUntil(
-        2, steady_clock::now() + std::chrono::milliseconds(150),
-        &attempt_full, &attempt_backoff);
-    if (!attempt_full) continue;
-    saw_full = true;
-    backoff = attempt_backoff;
-    if (backoff <= std::chrono::microseconds(1024)) break;
+    QueuePushPacing pacing;
+    const QueuePushResult result = queue.PushUntil(
+        2, steady_clock::now() + std::chrono::milliseconds(50),
+        &attempt_full, &pacing);
+    EXPECT_TRUE(result == QueuePushResult::kAdmitted ||
+                result == QueuePushResult::kTimedOut);
+    saw_full |= attempt_full;
+    EXPECT_LE(pacing.full_waits, pacing.waits);
+    EXPECT_EQ(pacing.backoff, BackoffAfterFullWaits(pacing.full_waits))
+        << "the backoff doubled on a wait that was woken early";
+    notified += pacing.waits - pacing.full_waits;
   }
   stop.store(true, std::memory_order_release);
   queue.Close();
   churn.join();
-  // Whether the producer eventually won the race or timed out, 150ms of
-  // consumer-notified wakeups must not have walked the backoff anywhere
-  // near the max. The bound leaves room for a few genuinely-elapsed
-  // rounds on a loaded CI machine (64 → 1024µs is four escalations)
-  // while still failing the always-double behavior, which reaches
-  // 8192µs within the first ~16ms.
-  EXPECT_TRUE(result == QueuePushResult::kAdmitted ||
-              result == QueuePushResult::kTimedOut ||
-              result == QueuePushResult::kClosed);
   EXPECT_TRUE(saw_full);
-  // Escalation on a notified-but-slow wakeup is indistinguishable from
-  // a fully-elapsed wait, and under TSAN every wakeup is slow — the
-  // pacing bound only means something in uninstrumented builds.
+  // Under TSAN every wakeup is slow enough to count as a full wait, so
+  // a notified wakeup may never be observed there.
   if (!PPR_TSAN_BUILD) {
-    EXPECT_LE(backoff, std::chrono::microseconds(1024))
-        << "early wakeups escalated the backoff on every attempt";
+    EXPECT_GT(notified, 0u) << "no wait was woken early: the property "
+                               "was never exercised";
   }
 }
 

@@ -1,6 +1,7 @@
 #include "graph/datasets.h"
 
 #include <cstdlib>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -105,6 +106,34 @@ TEST(DatasetsTest, HeavyTailsEverywhere) {
     GraphStats stats = ComputeGraphStats(g);
     EXPECT_GT(stats.top1pct_degree_share, 0.03)
         << spec.name << " should be heavy-tailed";
+  }
+}
+
+TEST(DatasetsTest, StandInsArePinnedAtSmallScale) {
+  // The exact CSR of every stand-in at scale 0.05 (default seed). A
+  // change to a generator, the RNG or GraphBuilder that moves a single
+  // edge or label changes the fingerprint, and with it every bench
+  // number and cached WalkIndex keyed to these graphs.
+  struct Pinned {
+    const char* name;
+    NodeId n;
+    EdgeId m;
+    uint64_t fingerprint;
+  };
+  const Pinned kPinned[] = {
+      {"dblp-sim", 1638, 9742, 0x2d623cab10ff258aULL},
+      {"webst-sim", 1638, 12854, 0x66edfe8be21f68f7ULL},
+      {"pokec-sim", 3276, 62834, 0x0275d4604ed46228ULL},
+      {"lj-sim", 6553, 94905, 0xacd30942004d6befULL},
+      {"orkut-sim", 2457, 186656, 0x91f72c82a278567fULL},
+      {"twitter-sim", 6553, 221458, 0x24f20ff8ec277a33ULL},
+  };
+  ASSERT_EQ(std::size(kPinned), PaperDatasets().size());
+  for (const Pinned& pin : kPinned) {
+    const Graph g = MakeDataset(FindDataset(pin.name), 0.05);
+    EXPECT_EQ(g.num_nodes(), pin.n) << pin.name;
+    EXPECT_EQ(g.num_edges(), pin.m) << pin.name;
+    EXPECT_EQ(g.Fingerprint(), pin.fingerprint) << pin.name;
   }
 }
 

@@ -85,6 +85,24 @@ TEST_F(EdgeListIoTest, OversizedIdIsOutOfRange) {
   EXPECT_EQ(edges.status().code(), StatusCode::kOutOfRange);
 }
 
+TEST_F(EdgeListIoTest, MaxUint32IdIsOutOfRange) {
+  // 2^32 - 1 fits a NodeId but not the builder's id universe (max + 1).
+  for (const char* line : {"0 4294967295\n", "4294967295 0\n"}) {
+    std::string path = TempPath("max_id.txt");
+    WriteFile(path, line);
+    auto edges = ReadEdgeListText(path);
+    ASSERT_FALSE(edges.ok()) << line;
+    EXPECT_EQ(edges.status().code(), StatusCode::kOutOfRange) << line;
+  }
+  // The largest id the builder takes still parses. (Building it would
+  // allocate an id map of 2^32 - 1 entries.)
+  std::string path = TempPath("below_max_id.txt");
+  WriteFile(path, "4294967294 0\n");
+  auto edges = ReadEdgeListText(path);
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges.value(), (std::vector<Edge>{{4294967294u, 0}}));
+}
+
 TEST_F(EdgeListIoTest, TextRoundTrip) {
   std::string path = TempPath("roundtrip.txt");
   std::vector<Edge> edges = {{0, 1}, {1, 2}, {5, 3}};

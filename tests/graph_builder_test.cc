@@ -1,9 +1,153 @@
 #include "graph/graph_builder.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "test_util.h"
+#include "util/rng.h"
 
 namespace ppr {
 namespace {
+
+/// The sort-based construction GraphBuilder::FromEdges used before its
+/// counting sort: sort the whole edge list, unique it, relabel. Kept as
+/// the reference the counting sort must match byte for byte.
+Graph ReferenceFromEdges(std::vector<Edge> edges,
+                         const BuildOptions& options) {
+  if (options.symmetrize) {
+    const size_t original = edges.size();
+    for (size_t i = 0; i < original; ++i) {
+      edges.push_back({edges[i].dst, edges[i].src});
+    }
+  }
+  if (options.remove_self_loops) {
+    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
+  }
+  std::sort(edges.begin(), edges.end());
+  if (options.deduplicate) {
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  }
+  NodeId max_id = 0;
+  for (const Edge& e : edges) max_id = std::max({max_id, e.src, e.dst});
+  NodeId n = edges.empty() ? 0 : max_id + 1;
+  if (options.remove_isolated) {
+    std::vector<uint8_t> seen(n, 0);
+    for (const Edge& e : edges) seen[e.src] = seen[e.dst] = 1;
+    std::vector<NodeId> relabel(n, 0);
+    NodeId next = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (seen[v]) relabel[v] = next++;
+    }
+    n = next;
+    for (Edge& e : edges) e = {relabel[e.src], relabel[e.dst]};
+  }
+  std::vector<EdgeId> offsets(static_cast<size_t>(n) + 1, 0);
+  for (const Edge& e : edges) offsets[e.src + 1]++;
+  for (NodeId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<NodeId> targets;
+  for (const Edge& e : edges) targets.push_back(e.dst);
+  Graph graph(std::move(offsets), std::move(targets));
+  if (options.build_in_adjacency) graph.BuildInAdjacency();
+  return graph;
+}
+
+std::string Describe(const BuildOptions& o) {
+  return "symmetrize=" + std::to_string(o.symmetrize) +
+         " remove_self_loops=" + std::to_string(o.remove_self_loops) +
+         " deduplicate=" + std::to_string(o.deduplicate) +
+         " remove_isolated=" + std::to_string(o.remove_isolated) +
+         " build_in_adjacency=" + std::to_string(o.build_in_adjacency);
+}
+
+/// Builds `edges` under every option combination with FromEdges and the
+/// reference, and requires identical CSR arrays (both directions).
+void ExpectMatchesReference(const std::vector<Edge>& edges,
+                            const std::string& label) {
+  for (const BuildOptions& options : testing::AllBuildOptions()) {
+    const Graph got = GraphBuilder::FromEdges(edges, options);
+    const Graph want = ReferenceFromEdges(edges, options);
+    ASSERT_EQ(got.out_offsets(), want.out_offsets())
+        << label << " " << Describe(options);
+    ASSERT_EQ(got.out_targets(), want.out_targets())
+        << label << " " << Describe(options);
+    ASSERT_EQ(got.has_in_adjacency(), want.has_in_adjacency());
+    if (!got.has_in_adjacency()) continue;
+    for (NodeId v = 0; v < got.num_nodes(); ++v) {
+      ASSERT_TRUE(std::ranges::equal(got.InNeighbors(v), want.InNeighbors(v)))
+          << label << " " << Describe(options) << " node " << v;
+    }
+  }
+}
+
+TEST(GraphBuilderTest, MatchesSortReferenceOnRandomEdgeLists) {
+  Rng rng(13);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Small id ranges force self-loops, duplicates and mutual edges;
+    // large ones leave gaps for the relabeling to close.
+    const uint64_t ids = trial % 3 == 0 ? 1 + rng.NextBounded(6)
+                         : trial % 3 == 1 ? 1 + rng.NextBounded(200)
+                                          : 1 + rng.NextBounded(1u << 16);
+    std::vector<Edge> edges(rng.NextBounded(400));
+    for (Edge& e : edges) {
+      e = {static_cast<NodeId>(rng.NextBounded(ids)),
+           static_cast<NodeId>(rng.NextBounded(ids))};
+    }
+    ExpectMatchesReference(edges, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(GraphBuilderTest, MatchesSortReferenceOnEdgeCases) {
+  ExpectMatchesReference({}, "empty");
+  ExpectMatchesReference({{3, 3}}, "lone self-loop");
+  ExpectMatchesReference({{0, 0}, {0, 0}, {5, 5}}, "only self-loops");
+  ExpectMatchesReference({{7, 2}}, "one edge");
+
+  std::vector<Edge> repeated;
+  for (int copy = 0; copy < 50; ++copy) {
+    for (NodeId v = 0; v < 20; ++v) repeated.push_back({v, (v * 7 + 3) % 20});
+  }
+  ExpectMatchesReference(repeated, "all-duplicate rows");
+
+  // Already sorted input, and the same input reversed.
+  std::vector<Edge> sorted;
+  for (NodeId u = 0; u < 30; ++u) {
+    for (NodeId v = 0; v < 30; v += 1 + u % 4) sorted.push_back({u, v});
+  }
+  ExpectMatchesReference(sorted, "sorted");
+  std::reverse(sorted.begin(), sorted.end());
+  ExpectMatchesReference(sorted, "reverse sorted");
+}
+
+TEST(GraphBuilderTest, MatchesSortReferenceOnAHugeRow) {
+  // One row of 10^5 entries (with repeats) amid short rows.
+  Rng rng(21);
+  std::vector<Edge> edges;
+  for (int i = 0; i < 100000; ++i) {
+    edges.push_back({40, static_cast<NodeId>(rng.NextBounded(60000))});
+  }
+  for (NodeId v = 0; v < 300; ++v) edges.push_back({v, (v * 31) % 300});
+  std::shuffle(edges.begin(), edges.end(), rng);
+  for (const BuildOptions& options : testing::AllBuildOptions()) {
+    if (options.build_in_adjacency) continue;  // covered elsewhere
+    const Graph got = GraphBuilder::FromEdges(edges, options);
+    const Graph want = ReferenceFromEdges(edges, options);
+    ASSERT_EQ(got.out_offsets(), want.out_offsets()) << Describe(options);
+    ASSERT_EQ(got.out_targets(), want.out_targets()) << Describe(options);
+  }
+}
+
+TEST(GraphBuilderDeathTest, RejectsTheLargestId) {
+  // max id + 1 must fit a NodeId; 2^32 - 1 would wrap the universe to 0.
+  const NodeId largest = std::numeric_limits<NodeId>::max();
+  EXPECT_DEATH(GraphBuilder::FromEdges({{0, largest}}), "out of range");
+  EXPECT_DEATH(GraphBuilder::FromEdges({{largest, 1}}), "out of range");
+}
 
 TEST(GraphBuilderTest, BuildsSimpleGraph) {
   GraphBuilder b;

@@ -1,7 +1,10 @@
 // Fuzz-style robustness tests: random and adversarial inputs must never
 // crash library entry points — they either succeed or return a Status.
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
+#include <vector>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -20,8 +23,12 @@ TEST(RobustnessTest, EdgeListReaderSurvivesRandomBytes) {
   Rng rng(1);
   testing::ScopedTempDir temp_dir;
   const std::string path = temp_dir.File("fuzz_input.txt");
-  for (int trial = 0; trial < 50; ++trial) {
-    {
+  int built = 0;
+  for (int trial = 0; trial < 250; ++trial) {
+    // The first 50 trials write raw bytes. Those almost never parse, so
+    // the rest write edge-list-shaped lines with a few random bytes
+    // mixed in, and most of them reach the builder.
+    if (trial < 50) {
       std::ofstream out(path, std::ios::binary);
       const size_t len = rng.NextBounded(512);
       for (size_t i = 0; i < len; ++i) {
@@ -38,14 +45,61 @@ TEST(RobustnessTest, EdgeListReaderSurvivesRandomBytes) {
         }
         out.put(c);
       }
+    } else {
+      std::ofstream out(path, std::ios::binary);
+      auto put_id = [&] {
+        const uint64_t digits = rng.NextBounded(100) == 0
+                                    ? 7 + rng.NextBounded(5)
+                                    : 1 + rng.NextBounded(4);
+        for (uint64_t d = 0; d < digits; ++d) {
+          out.put(static_cast<char>('0' + rng.NextBounded(10)));
+        }
+      };
+      const uint64_t lines = rng.NextBounded(60);
+      for (uint64_t line = 0; line < lines; ++line) {
+        const uint64_t pick = rng.NextBounded(40);
+        if (pick == 0) {
+          out << "# comment";
+        } else if (pick == 1) {
+          out.put(static_cast<char>(rng.NextBounded(256)));
+        } else if (pick > 2) {  // pick == 2 leaves a blank line
+          put_id();
+          out.put(" \t,"[rng.NextBounded(3)]);
+          put_id();
+        }
+        out.put('\n');
+      }
     }
     auto result = ReadEdgeListText(path);
     // Must terminate with either a value or a clean error; any crash
     // fails the test by killing the process.
     if (!result.ok()) {
       EXPECT_NE(result.status().code(), StatusCode::kOk);
+      continue;
+    }
+    // Whatever parses must also build, under every option combination.
+    // Ids of 2^20 and up are skipped only to keep the n-sized arrays
+    // small; the id limit itself is pinned in edge_list_io_test.
+    const std::vector<Edge>& edges = result.value();
+    NodeId max_id = 0;
+    for (const Edge& e : edges) max_id = std::max({max_id, e.src, e.dst});
+    if (max_id >= (NodeId{1} << 20)) continue;
+    ++built;
+    for (const BuildOptions& options : testing::AllBuildOptions()) {
+      const Graph g = GraphBuilder::FromEdges(edges, options);
+      ASSERT_EQ(g.out_offsets().back(), g.num_edges());
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        // Rows are sorted, and strictly increasing once deduplicated.
+        const auto row = g.OutNeighbors(v);
+        const auto out_of_order =
+            options.deduplicate
+                ? std::ranges::adjacent_find(row, std::greater_equal<>())
+                : std::ranges::is_sorted_until(row);
+        ASSERT_EQ(out_of_order, row.end());
+      }
     }
   }
+  EXPECT_GE(built, 50) << "too few fuzz inputs got as far as the builder";
 }
 
 TEST(RobustnessTest, UpdateStreamReaderSurvivesRandomBytes) {

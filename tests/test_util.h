@@ -15,6 +15,7 @@
 
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/graph_builder.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -119,6 +120,21 @@ class ScopedTempDir {
  private:
   std::string path_;
 };
+
+/// All 32 combinations of the five BuildOptions flags.
+inline std::vector<BuildOptions> AllBuildOptions() {
+  std::vector<BuildOptions> all;
+  for (int bits = 0; bits < 32; ++bits) {
+    BuildOptions options;
+    options.symmetrize = bits & 1;
+    options.remove_self_loops = bits & 2;
+    options.deduplicate = bits & 4;
+    options.remove_isolated = bits & 8;
+    options.build_in_adjacency = bits & 16;
+    all.push_back(options);
+  }
+  return all;
+}
 
 /// A small zoo of structurally diverse graphs for property sweeps.
 struct TestGraphCase {
