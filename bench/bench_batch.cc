@@ -1,7 +1,10 @@
 // Fused multi-source batch tier: time-per-query of one SolveMany block
 // versus the same queries solved one by one, swept over the block size
 // B, plus the served path (PprServer with max_batch coalescing). Emits
-// BENCH_batch.json so the fusion win is trackable across commits.
+// BENCH_batch.json so the fusion win is trackable across commits. Fused
+// rows also carry csr_sweeps, a deterministic work counter: each block
+// sweeps the CSR as often as its slowest query iterates, so it is the
+// sum over blocks of the largest SolveStats::iterations in the block.
 //
 // Expected shape: time_per_query_ms falls as B grows — a block of B
 // sources shares one CSR traversal per sweep instead of paying B — and
@@ -55,7 +58,7 @@ int main() {
     TablePrinter table(
         {"mode", "batch", "wall(s)", "ms/query", "qps", "qps/worker"});
     auto emit = [&](const char* mode, size_t batch, unsigned workers,
-                    double wall_seconds) {
+                    double wall_seconds) -> bench::BenchJsonWriter::Record& {
       const double per_query_ms =
           wall_seconds * 1e3 / static_cast<double>(kQueries);
       const double qps = static_cast<double>(kQueries) / wall_seconds;
@@ -66,7 +69,7 @@ int main() {
       std::snprintf(row[3], sizeof(row[3]), "%.0f", qps / workers);
       table.AddRow({mode, std::to_string(batch), row[0], row[1], row[2],
                     row[3]});
-      json.Add()
+      return json.Add()
           .Str("dataset", named.name)
           .Str("solver", "powitr:batch=" + std::to_string(batch) +
                              ",lambda=1e-4")
@@ -92,14 +95,25 @@ int main() {
       BatchSolver* fused = solver->AsBatch();
       PPR_CHECK(fused != nullptr);
       double fused_best = std::numeric_limits<double>::infinity();
+      std::vector<PprResult> results;
       for (int rep = 0; rep < kReps; ++rep) {
         SolverContext context;
-        std::vector<PprResult> results;
         Timer timer;
         PPR_CHECK_OK(fused->SolveMany(queries, context, &results));
         fused_best = std::min(fused_best, timer.ElapsedSeconds());
       }
-      emit("fused", batch, /*workers=*/1, fused_best);
+      // SolveMany fuses consecutive queries, B at a time.
+      uint64_t csr_sweeps = 0;
+      for (size_t first = 0; first < results.size(); first += batch) {
+        uint64_t block_sweeps = 0;
+        for (size_t i = first; i < std::min(first + batch, results.size());
+             ++i) {
+          block_sweeps = std::max(block_sweeps, results[i].stats.iterations);
+        }
+        csr_sweeps += block_sweeps;
+      }
+      emit("fused", batch, /*workers=*/1, fused_best)
+          .Int("csr_sweeps", csr_sweeps);
 
       // Served: the same spec behind PprServer coalescing. SolveBatch
       // keeps the queue full, so workers actually find neighbors to

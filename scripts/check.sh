@@ -51,11 +51,8 @@ done
 # BatchTopKEarlyTest for the threaded kernel, BatchQueueTest /
 # PprServerBatchTest for queue coalescing), which races multi-threaded
 # SolveMany blocks and worker-side batch draining against the queue and
-# epoch barrier. The sharded tier (Sharded* suites) races the routing
-# front-end — owner and scatter-gather submission, merger threads, the
-# cross-shard epoch barrier, and the sharded chaos/bounded-drain
-# paths — against N concurrent PprServer shards.
-TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*:Sharded*'
+# epoch barrier.
+TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*'
 
 case "${MODE}" in
   tidy)

@@ -92,7 +92,6 @@ Status BatchSolver::SolveMany(std::span<const PprQuery> queries,
     seeds = derived;
   }
 
-  const NodeId current_n = CurrentNumNodes();
   std::vector<PprQuery> block;
   std::vector<uint64_t> block_seeds;
   std::vector<const CancelToken*> block_cancels;
@@ -149,14 +148,8 @@ Status BatchSolver::SolveMany(std::span<const PprQuery> queries,
 
   for (size_t i = 0; i < count; ++i) {
     const PprQuery& query = queries[i];
-    if (query.source >= current_n) {
-      local[i] = Status::InvalidArgument("query source out of range");
-      continue;
-    }
-    if (query.target != kNoTarget && query.target >= current_n) {
-      local[i] = Status::InvalidArgument("query target out of range");
-      continue;
-    }
+    local[i] = ValidateQuery(query);
+    if (!local[i].ok()) continue;
     const CancelToken* token = cancels.empty() ? nullptr : cancels[i];
     if (token != nullptr) {
       Status pre = token->CheckNow();

@@ -1,6 +1,8 @@
 #include "api/solver.h"
 
+#include <initializer_list>
 #include <limits>
+#include <sstream>
 #include <utility>
 
 #include "eval/metrics.h"
@@ -81,15 +83,7 @@ Status Solver::Solve(const PprQuery& query, SolverContext& context,
   if (graph_ == nullptr) {
     return Status::FailedPrecondition("Solve() before a successful Prepare()");
   }
-  // Range checks use the evolving node count for dynamic solvers, so a
-  // node added by ApplyUpdates is queryable without re-Prepare.
-  const NodeId current_n = CurrentNumNodes();
-  if (query.source >= current_n) {
-    return Status::InvalidArgument("query source out of range");
-  }
-  if (query.target != kNoTarget && query.target >= current_n) {
-    return Status::InvalidArgument("query target out of range");
-  }
+  PPR_RETURN_IF_ERROR(ValidateQuery(query));
   // Boundary cancellation checks bracket DoSolve: the pre-check stops a
   // query that is already cancelled/expired before any compute, and the
   // post-check guarantees an OK result was finished in time even for
@@ -102,7 +96,6 @@ Status Solver::Solve(const PprQuery& query, SolverContext& context,
   result->stats = SolveStats{};
   result->epoch = 0;  // dynamic solvers stamp their epoch in DoSolve
   result->degraded = false;
-  result->shard = kShardNone;  // the serving tier re-stamps on success
   context.ForgetExportedSupport();
   if (perm_.empty()) {
     PPR_RETURN_IF_ERROR(DoSolve(query, context, result));
@@ -138,6 +131,30 @@ Status Solver::Solve(const PprQuery& query, SolverContext& context,
     result->top_nodes = support != nullptr
                             ? TopK(result->scores, *support, query.top_k)
                             : TopK(result->scores, query.top_k);
+  }
+  return Status::OK();
+}
+
+Status Solver::ValidateQuery(const PprQuery& query) const {
+  // Range checks use the evolving node count for dynamic solvers, so a
+  // node added by ApplyUpdates is queryable without re-Prepare.
+  const NodeId current_n = CurrentNumNodes();
+  if (query.source >= current_n) {
+    return Status::InvalidArgument("query source out of range");
+  }
+  if (query.target != kNoTarget && query.target >= current_n) {
+    return Status::InvalidArgument("query target out of range");
+  }
+  // 0 keeps the solver's default; NaN fails both comparisons.
+  for (const double value :
+       {query.alpha, query.lambda, query.epsilon, query.mu}) {
+    if (!(value >= 0.0 && value < 1.0)) {
+      std::ostringstream message;
+      message << "query alpha, lambda, epsilon and mu must each be 0 "
+                 "(default) or in (0, 1); got "
+              << value;
+      return Status::InvalidArgument(message.str());
+    }
   }
   return Status::OK();
 }

@@ -97,7 +97,7 @@ class Solver {
 
   /// Answers one query. `result` is overwritten. Returns
   /// FailedPrecondition when Prepare() has not succeeded and
-  /// InvalidArgument for out-of-range sources/targets. Concurrent calls
+  /// InvalidArgument for a query ValidateQuery() rejects. Concurrent calls
   /// on one solver are safe when each thread uses its own context —
   /// implementations must keep per-query mutable state in the
   /// SolverContext (BatchSolve relies on this).
@@ -175,6 +175,14 @@ class Solver {
   virtual NodeId CurrentNumNodes() const {
     return graph_ == nullptr ? 0 : graph_->num_nodes();
   }
+
+  /// The per-query check Solve() and SolveMany() run before any compute:
+  /// source and target below CurrentNumNodes(), and each of alpha,
+  /// lambda, epsilon and mu either 0 (the solver's default) or in
+  /// (0, 1), the same domain the registry options have. InvalidArgument
+  /// otherwise, so one bad query fails alone instead of aborting in a
+  /// kernel's precondition check.
+  Status ValidateQuery(const PprQuery& query) const;
 
   const Graph* graph_ = nullptr;
 

@@ -14,11 +14,14 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "api/batch_solver.h"
@@ -1465,6 +1468,44 @@ Result<std::unique_ptr<Solver>> FinishSolver(const CommonOptions& common,
   return solver;
 }
 
+/// The numeric option domains, checked once per factory so a bad value
+/// fails Create with InvalidArgument instead of aborting in a kernel's
+/// precondition check or overflowing a walk count later: alpha, lambda
+/// and eps in (0, 1); mu and each of `derived` (rmax, delta,
+/// scan_threshold, index_eps, powerpush's lambda) in [0, 1), where 0
+/// means "derive it from the other parameters" (for mu: 1/n). All are
+/// probabilities, error targets, thresholds or fractions, and a value of
+/// 1 or more leaves nothing to compute. NaN fails every comparison.
+Status ValidateParams(
+    const ParamDefaults& params,
+    std::initializer_list<std::pair<std::string_view, double>> derived = {}) {
+  auto reject = [](std::string_view key, std::string_view domain,
+                   double value) {
+    std::ostringstream message;
+    message << "option '" << key << "' expects " << domain << "; got "
+            << value;
+    return Status::InvalidArgument(message.str());
+  };
+  if (!(params.alpha > 0.0 && params.alpha < 1.0)) {
+    return reject("alpha", "a value in (0, 1)", params.alpha);
+  }
+  if (!(params.lambda > 0.0 && params.lambda < 1.0)) {
+    return reject("lambda", "a value in (0, 1)", params.lambda);
+  }
+  if (!(params.epsilon > 0.0 && params.epsilon < 1.0)) {
+    return reject("eps", "a value in (0, 1)", params.epsilon);
+  }
+  if (!(params.mu >= 0.0 && params.mu < 1.0)) {
+    return reject("mu", "a value in [0, 1) (0 = 1/n)", params.mu);
+  }
+  for (const auto& [key, value] : derived) {
+    if (!(value >= 0.0 && value < 1.0)) {
+      return reject(key, "a value in [0, 1) (0 = derived)", value);
+    }
+  }
+  return Status::OK();
+}
+
 /// Shared validation for the fused-tier options.
 Status ValidateBatchOptions(uint64_t batch, bool topk_early) {
   if (batch > 4096) {
@@ -1496,6 +1537,7 @@ Result<std::unique_ptr<Solver>> MakeForwardPush(const SolverSpec& spec,
     reader.Uint64("batch", &batch).Bool("topk_early", &topk_early);
   }
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params, {{"rmax", rmax}}));
   PPR_RETURN_IF_ERROR(ValidateBatchOptions(batch, topk_early));
   return FinishSolver(common, std::unique_ptr<Solver>(new ForwardPushSolver(
                                   priority, params, rmax, batch, topk_early)));
@@ -1511,6 +1553,7 @@ Result<std::unique_ptr<Solver>> MakeDynFwdPush(const SolverSpec& spec) {
       .Double("lambda", &params.lambda)
       .Double("rmax", &rmax);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params, {{"rmax", rmax}}));
   return FinishSolver(common, std::unique_ptr<Solver>(new DynFwdPushSolver(
                                   params, rmax)));
 }
@@ -1530,6 +1573,8 @@ Result<std::unique_ptr<Solver>> MakePowerPush(const SolverSpec& spec) {
       .Double("scan_threshold", &scan_threshold)
       .Bool("queue_phase", &queue_phase);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(
+      params, {{"lambda", lambda}, {"scan_threshold", scan_threshold}}));
   if (epochs < 0) {
     return Status::InvalidArgument("powerpush: epochs must be >= 0");
   }
@@ -1551,6 +1596,7 @@ Result<std::unique_ptr<Solver>> MakePowerIteration(const SolverSpec& spec) {
       .Uint64("batch", &batch)
       .Bool("topk_early", &topk_early);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params));
   PPR_RETURN_IF_ERROR(ValidateBatchOptions(batch, topk_early));
   return FinishSolver(common, std::unique_ptr<Solver>(new PowerIterationSolver(
                                   params, batch, topk_early)));
@@ -1564,6 +1610,7 @@ Result<std::unique_ptr<Solver>> MakePageRank(const SolverSpec& spec) {
   common.Read(reader);
   reader.Double("alpha", &params.alpha).Double("lambda", &params.lambda);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params));
   return FinishSolver(common,
                       std::unique_ptr<Solver>(new PageRankSolver(params)));
 }
@@ -1578,6 +1625,7 @@ Result<std::unique_ptr<Solver>> MakeBepi(const SolverSpec& spec) {
       .Double("lambda", &params.lambda)
       .Uint64("max_iterations", &max_iterations);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params));
   return FinishSolver(common, std::unique_ptr<Solver>(new BepiApiSolver(
                                   params, max_iterations)));
 }
@@ -1591,6 +1639,7 @@ Result<std::unique_ptr<Solver>> MakeMonteCarlo(const SolverSpec& spec) {
       .Double("eps", &params.epsilon)
       .Double("mu", &params.mu);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params));
   return FinishSolver(common,
                       std::unique_ptr<Solver>(new MonteCarloSolver(params)));
 }
@@ -1625,6 +1674,7 @@ Result<std::unique_ptr<Solver>> MakeTwoPhase(const SolverSpec& spec,
     reader.Double("index_eps", &index_eps).Uint64("batch", &batch);
   }
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params, {{"index_eps", index_eps}}));
   PPR_RETURN_IF_ERROR(ValidateBatchOptions(batch, /*topk_early=*/false));
   if (!cache_dir.empty() && !indexed) {
     return Status::InvalidArgument(
@@ -1655,6 +1705,7 @@ Result<std::unique_ptr<Solver>> MakeDynTwoPhase(const SolverSpec& spec,
     reader.Double("index_eps", &index_eps).Double("drift", &drift);
   }
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params, {{"index_eps", index_eps}}));
   if (!std::isfinite(drift) || (drift != 0.0 && drift <= 1.0)) {
     return Status::InvalidArgument(
         "option 'drift' expects a factor > 1 (or 0 to disable); got " +
@@ -1673,6 +1724,7 @@ Result<std::unique_ptr<Solver>> MakeResAcc(const SolverSpec& spec) {
       .Double("eps", &params.epsilon)
       .Double("mu", &params.mu);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params));
   return FinishSolver(common,
                       std::unique_ptr<Solver>(new ResAccSolver(params)));
 }
@@ -1689,6 +1741,8 @@ Result<std::unique_ptr<Solver>> MakeBiPpr(const SolverSpec& spec) {
       .Double("delta", &delta)
       .Double("rmax", &rmax);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(
+      ValidateParams(params, {{"delta", delta}, {"rmax", rmax}}));
   return FinishSolver(common, std::unique_ptr<Solver>(new BiPprSolver(
                                   params, delta, rmax)));
 }
@@ -1705,6 +1759,7 @@ Result<std::unique_ptr<Solver>> MakeHubPpr(const SolverSpec& spec) {
       .Uint64("hubs", &hubs)
       .Double("rmax", &rmax);
   PPR_RETURN_IF_ERROR(reader.Finish());
+  PPR_RETURN_IF_ERROR(ValidateParams(params, {{"rmax", rmax}}));
   return FinishSolver(common, std::unique_ptr<Solver>(new HubPprSolver(
                                   params, hubs, rmax)));
 }

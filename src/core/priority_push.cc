@@ -31,8 +31,15 @@ SolveStats PriorityForwardPush(const Graph& graph, NodeId source,
 
   SolveStats stats;
   double rsum = 1.0;
+  // Same cancellation cadence as the FIFO loop: every 1024 pushes.
+  constexpr uint64_t kCancelPollMask = 1023;
   while (!heap.empty() && heap.TopPriority() > options.rmax &&
          (options.stop_rsum <= 0.0 || rsum > options.stop_rsum)) {
+    if (options.cancel != nullptr &&
+        (stats.push_operations & kCancelPollMask) == 0 &&
+        options.cancel->ShouldStop()) {
+      break;
+    }
     const NodeId v = heap.PopTop();
     const double r = residue[v];
     reserve[v] += alpha * r;

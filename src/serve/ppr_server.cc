@@ -1,11 +1,11 @@
 #include "serve/ppr_server.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "api/batch_solver.h"
 #include "api/registry.h"
-#include "serve/future_state.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/mutex.h"
@@ -15,6 +15,23 @@
 namespace ppr {
 
 // ---------------------------------------------------------------- future
+
+/// Shared completion state behind a PprFuture: the worker publishes the
+/// terminal (status, result) pair here and every PprFuture copy reads it.
+struct PprFuture::State {
+  Mutex mu;
+  CondVar cv;
+  bool done PPR_GUARDED_BY(mu) = false;
+  Status status PPR_GUARDED_BY(mu);
+  PprResult result PPR_GUARDED_BY(mu);
+  std::chrono::steady_clock::time_point submitted;
+  double latency_seconds PPR_GUARDED_BY(mu) = 0.0;
+  /// Lives here (not in the queued request) so Cancel() keeps working
+  /// while the query is in flight and the token outlives the server if
+  /// the future does. Armed/chained before the request is published to
+  /// the queue; only polled (atomics) afterwards.
+  CancelToken token;
+};
 
 bool PprFuture::done() const {
   PPR_CHECK(valid());
@@ -276,12 +293,6 @@ Result<PprFuture> PprServer::Submit(const PprQuery& query,
   return Enqueue(query, solver, seed, /*blocking=*/false);
 }
 
-Result<PprFuture> PprServer::SubmitBlocking(const PprQuery& query,
-                                            std::string_view solver,
-                                            uint64_t seed) {
-  return Enqueue(query, solver, seed, /*blocking=*/true);
-}
-
 Status PprServer::SolveBatch(const std::vector<PprQuery>& queries,
                              std::vector<PprResult>* results,
                              std::string_view solver, uint64_t seed) {
@@ -490,9 +501,20 @@ void PprServer::FinishRequest(internal::ServeRequest& request,
                               PprResult result, bool fused) {
   const bool terminal_ok = status.ok();
   const StatusCode terminal_code = status.code();
-  if (terminal_ok) result.shard = options_.shard_stamp;
-  internal::PublishToFuture(*request.state, std::move(status),
-                            std::move(result));
+  // The single point where a future completes: stamp the latency clock,
+  // mark it done and wake every waiter.
+  PprFuture::State& state = *request.state;
+  {
+    MutexLock lock(state.mu);
+    state.status = std::move(status);
+    state.result = std::move(result);
+    state.latency_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      state.submitted)
+            .count();
+    state.done = true;
+  }
+  state.cv.NotifyAll();
 
   {
     MutexLock lock(mu_);
@@ -533,29 +555,5 @@ PprServerStats PprServer::Snapshot() const {
 }
 
 PprServerStats PprServer::stats() const { return Snapshot(); }
-
-std::vector<std::string> PprServer::solver_names() const {
-  MutexLock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(solvers_.size());
-  for (const Hosted& hosted : solvers_) names.push_back(hosted.name);
-  return names;
-}
-
-bool PprServer::HostsSolver(std::string_view spec) const {
-  MutexLock lock(mu_);
-  return FindHosted(spec) != nullptr;
-}
-
-Result<SolverCapabilities> PprServer::HostedCapabilities(
-    std::string_view spec) const {
-  MutexLock lock(mu_);
-  const Hosted* hosted = FindHosted(spec);
-  if (hosted == nullptr) {
-    return Status::NotFound("no solver '" + std::string(spec) +
-                            "' on this server");
-  }
-  return hosted->solver->capabilities();
-}
 
 }  // namespace ppr

@@ -26,8 +26,7 @@ namespace ppr {
 /// state); Wait/Get may be called from any thread, any number of times.
 class PprFuture {
  public:
-  /// Opaque shared completion state (defined in serve/future_state.h;
-  /// serving-tier internal).
+  /// Opaque shared completion state (defined in ppr_server.cc).
   struct State;
 
   PprFuture() = default;
@@ -59,7 +58,6 @@ class PprFuture {
 
  private:
   friend class PprServer;
-  friend class ShardedPprServer;
   explicit PprFuture(std::shared_ptr<State> state)
       : state_(std::move(state)) {}
 
@@ -131,11 +129,6 @@ struct PprServerOptions {
   /// query is shed exactly as today, never solved. 1 (the default)
   /// disables coalescing.
   size_t max_batch = 1;
-  /// Stamped onto PprResult::shard of every OK result this server
-  /// produces. -1 (the default) means "not part of a sharded tier";
-  /// ShardedPprServer sets it to the shard index so routing decisions
-  /// are observable on the results. See docs/serving.md.
-  int32_t shard_stamp = -1;
 };
 
 /// Point-in-time counters (monotonic except queue_depth).
@@ -262,17 +255,6 @@ class PprServer {
   Result<PprFuture> Submit(const PprQuery& query, std::string_view solver = {},
                            uint64_t seed = 0);
 
-  /// Blocking submission — the admission path SolveBatch uses, exposed
-  /// so batch-style callers (ShardedPprServer::SolveBatch among them)
-  /// can apply the same wait-for-queue-space backpressure per entry.
-  /// Waits for space bounded by the query's deadline (when set) or
-  /// options.batch_admission_budget (0 = indefinitely); exceeding the
-  /// bound fails with DeadlineExceeded. Each backpressured admission
-  /// counts exactly once in stats().rejected.
-  Result<PprFuture> SubmitBlocking(const PprQuery& query,
-                                   std::string_view solver = {},
-                                   uint64_t seed = 0);
-
   /// Synchronous batch path: admits every query (waiting for queue space
   /// instead of rejecting), blocks until all finish, and fills `results`
   /// aligned with `queries`. Per-entry seed i is SplitStream(seed, i)
@@ -310,26 +292,13 @@ class PprServer {
   /// covers the whole struct, so no field can be torn against another
   /// (reading stats().submitted and stats().completed as two calls can
   /// observe a query between its admission and its terminal counter).
-  /// Aggregation across shards and any submitted-vs-terminal arithmetic
-  /// must go through this.
+  /// Any submitted-vs-terminal arithmetic must go through this.
   PprServerStats Snapshot() const PPR_EXCLUDES(mu_);
 
   /// Alias of Snapshot(), kept for call-site brevity. Each call is one
   /// atomic snapshot; arithmetic across *two* calls is still two
   /// snapshots — use one Snapshot() for cross-field invariants.
   PprServerStats stats() const PPR_EXCLUDES(mu_);
-
-  std::vector<std::string> solver_names() const PPR_EXCLUDES(mu_);
-
-  /// True when `spec` routes to a hosted solver (empty → has a default).
-  bool HostsSolver(std::string_view spec = {}) const PPR_EXCLUDES(mu_);
-
-  /// Capabilities of the hosted solver `spec` routes to (empty → the
-  /// default solver) — what a routing tier needs to decide fan-out and
-  /// residue merging without reaching into the solver. NotFound for an
-  /// unknown spec.
-  Result<SolverCapabilities> HostedCapabilities(std::string_view spec = {})
-      const PPR_EXCLUDES(mu_);
 
   const PprServerOptions& options() const { return options_; }
 

@@ -135,6 +135,28 @@ TEST(SolverRegistryTest, CreateRejectsUnknownNamesAndOptions) {
   auto bad_value = SolverRegistry::Global().Create("mc:eps=banana");
   ASSERT_FALSE(bad_value.ok());
   EXPECT_EQ(bad_value.status().code(), StatusCode::kInvalidArgument);
+
+  // Values that parse but lie outside the option's domain fail Create
+  // instead of aborting later in a kernel precondition (or, for rmax
+  // and scan_threshold, being accepted and overflowing a count).
+  for (const char* spec :
+       {"fwdpush:alpha=2", "fwdpush:alpha=inf", "fwdpush:alpha=0",
+        "resacc:alpha=1", "powitr:lambda=nan", "powerpush:lambda=2",
+        "powerpush:lambda=-1", "pagerank:lambda=0", "mc:eps=nan",
+        "fora:eps=inf", "bippr:eps=2", "speedppr:mu=-1", "mc:mu=1e308",
+        "fwdpush:rmax=-1", "dynfwdpush:rmax=nan", "hubppr:rmax=inf",
+        "bippr:rmax=1e308", "bippr:delta=-1", "fora:index_eps=nan",
+        "powerpush:scan_threshold=nan", "powerpush:scan_threshold=2"}) {
+    auto created = SolverRegistry::Global().Create(spec);
+    ASSERT_FALSE(created.ok()) << spec;
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  // 0 still selects the derived default where one exists.
+  for (const char* spec : {"fwdpush:rmax=0", "powerpush:lambda=0",
+                           "hubppr:rmax=0", "speedppr:mu=0"}) {
+    auto created = SolverRegistry::Global().Create(spec);
+    EXPECT_TRUE(created.ok()) << spec << ": " << created.status().ToString();
+  }
 }
 
 TEST(SolverRegistryTest, PowerPushAblationOptionsStayConformant) {

@@ -6,6 +6,7 @@
 
 #include "core/forward_push.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 
 namespace ppr {
 namespace {
@@ -84,6 +85,25 @@ TEST(PriorityPushTest, StopRsumRespected) {
   PprEstimate estimate;
   SolveStats stats = PriorityForwardPush(g, 0, options, &estimate);
   EXPECT_LE(stats.final_rsum, 0.25);
+}
+
+TEST(PriorityPushTest, CancelStopsThePushLoop) {
+  // The loop polls options.cancel every 1024 pushes, starting with the
+  // first, so an already-cancelled token stops it before any push while
+  // an idle token lets it finish.
+  Graph g = testing::SmallGraphZoo()[6].graph;
+  ForwardPushOptions options;
+  options.rmax = 1e-10;
+  CancelToken token;
+  options.cancel = &token;
+  PprEstimate finished;
+  EXPECT_GT(PriorityForwardPush(g, 0, options, &finished).push_operations,
+            0u);
+  token.RequestCancel();
+  PprEstimate stopped;
+  const SolveStats stats = PriorityForwardPush(g, 0, options, &stopped);
+  EXPECT_EQ(stats.push_operations, 0u);
+  EXPECT_EQ(stats.final_rsum, 1.0);
 }
 
 TEST(PriorityPushTest, DeadEndsHandled) {

@@ -2,18 +2,26 @@
 // crash library entry points — they either succeed or return a Status.
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "api/context.h"
+#include "api/registry.h"
 #include "approx/walk_index.h"
 #include "core/power_push.h"
 #include "graph/edge_list_io.h"
+#include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "test_util.h"
+#include "util/cancellation.h"
+#include "util/string_utils.h"
 #include "util/rng.h"
 
 namespace ppr {
@@ -254,6 +262,105 @@ TEST(RobustnessTest, BuilderHandlesRandomEdgeSoup) {
       EXPECT_NEAR(estimate.ReserveSum() + estimate.ResidueSum(), 1.0, 1e-9);
     }
   }
+}
+
+TEST(RobustnessTest, RegistrySpecsSurviveRandomStrings) {
+  // Random specs built from the registry's names and option keys with
+  // hostile values: Create returns a status or a solver, and every
+  // solver it returns prepares and answers a tiny graph with a clean
+  // status. Per-query overrides are fuzzed the same way. A crash kills
+  // the process and fails the test.
+  Rng rng(7);
+  testing::ScopedTempDir temp_dir;
+  Rng graph_rng(8);
+  Graph graph = BarabasiAlbert(24, 2, graph_rng);  // symmetric: no dead ends
+  graph.BuildInAdjacency();
+  const SolverRegistry& registry = SolverRegistry::Global();
+  const std::vector<std::string> names = registry.Names();
+  const std::vector<std::string> hostile = {
+      "nan", "inf", "-inf", "-1", "1e308", "", "-0", "0x10"};
+  const std::vector<std::string> plausible = {
+      "0", "0.3", "0.5", "1", "2", "3", "true", "false", "none", "degree"};
+  auto random_bytes = [&rng] {
+    std::string bytes(rng.NextBounded(6), '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+    return bytes;
+  };
+  auto pick = [&rng](const auto& from) {
+    return std::string(from[rng.NextBounded(from.size())]);
+  };
+  const double overrides[] = {0.0, 0.3, 1.0, 2.0, -1.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()};
+  auto pick_override = [&] {
+    return rng.NextBounded(6) == 0 ? overrides[rng.NextBounded(7)] : 0.0;
+  };
+
+  int created = 0;
+  int solved_with_options = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string spec = rng.NextBounded(10) == 0 ? random_bytes() : pick(names);
+    const SolverRegistry::Entry* entry = registry.Find(spec);
+    const std::string help = entry != nullptr ? entry->options_help : "alpha";
+    const std::vector<std::string_view> keys = SplitAndTrim(help, ", ");
+    std::vector<std::string> options;
+    for (uint64_t i = rng.NextBounded(4); i > 0; --i) {
+      const uint64_t roll = rng.NextBounded(20);
+      if (roll == 0 && !options.empty()) {
+        options.push_back(options.back());  // repeated key
+        continue;
+      }
+      const std::string key = roll == 1   ? random_bytes()
+                              : roll == 2 ? std::string("frobnicate")
+                                          : pick(keys);
+      std::string value = rng.NextBounded(2) == 0 ? pick(plausible)
+                          : rng.NextBounded(5) == 0 ? random_bytes()
+                                                    : pick(hostile);
+      // A cache directory is a real path; keep it inside the test's own.
+      if (key == "cache_dir") value = temp_dir.File("cache");
+      options.push_back(rng.NextBounded(8) == 0 ? key : key + "=" + value);
+    }
+    for (size_t i = 0; i < options.size(); ++i) {
+      spec += (i == 0 ? ":" : ",") + options[i];
+    }
+
+    auto solver = registry.Create(spec);
+    if (!solver.ok()) continue;
+    created++;
+    Status prepared = solver.value()->Prepare(graph);
+    if (!prepared.ok()) {
+      EXPECT_EQ(prepared.code(), StatusCode::kFailedPrecondition)
+          << spec << ": " << prepared.ToString();
+      continue;
+    }
+    PprQuery query;
+    query.source = static_cast<NodeId>(rng.NextBounded(graph.num_nodes()));
+    query.top_k = rng.NextBounded(4);
+    query.want_residues = rng.NextBounded(2) == 1;
+    query.alpha = pick_override();
+    query.lambda = pick_override();
+    query.epsilon = pick_override();
+    query.mu = pick_override();
+    CancelToken token;
+    token.ArmDeadline(std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(100));
+    SolverContext context(/*seed=*/trial);
+    context.set_cancel_token(&token);
+    PprResult result;
+    const Status status = solver.value()->Solve(query, context, &result);
+    EXPECT_TRUE(status.ok() ||
+                status.code() == StatusCode::kInvalidArgument ||
+                status.code() == StatusCode::kFailedPrecondition ||
+                status.code() == StatusCode::kDeadlineExceeded)
+        << spec << ": " << status.ToString();
+    if (status.ok()) {
+      EXPECT_EQ(result.scores.size(), graph.num_nodes()) << spec;
+      if (!options.empty()) solved_with_options++;
+    }
+  }
+  EXPECT_GE(created, 300) << "too few fuzz specs got past Create";
+  EXPECT_GE(solved_with_options, 30)
+      << "too few specs with options got as far as a solve";
 }
 
 TEST(RobustnessTest, SolversSurviveEverySourceOfATinyGraph) {

@@ -507,6 +507,53 @@ TEST(PprServerTest, SolveBatchPropagatesPerQueryFailures) {
   server.Stop();
 }
 
+TEST(PprServerTest, OutOfDomainOverrideFailsAloneAndServingContinues) {
+  // An override outside (0, 1) fails its own query with InvalidArgument
+  // before any kernel sees it: alpha = 2 would trip the kernel's
+  // alpha < 1 precondition and abort the process from a worker thread,
+  // and a NaN must not read as "unset". One worker, so the next query
+  // runs on the same thread and context the rejected ones did.
+  const Graph& graph = SharedFixtures().general;
+  const std::string spec = "speedppr:eps=0.5";
+  PprServer server({.workers = 1});
+  ASSERT_TRUE(server.AddSolver(spec, graph).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  PprQuery too_large;
+  too_large.alpha = 2.0;
+  PprQuery not_a_number;
+  not_a_number.lambda = std::nan("");
+  for (const PprQuery& bad : {too_large, not_a_number}) {
+    auto ticket = server.Submit(bad, {}, /*seed=*/7);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    EXPECT_EQ(ticket.value().Get(nullptr).code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  PprQuery good;
+  good.source = 5;
+  auto ticket = server.Submit(good, {}, /*seed=*/11);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  PprResult served;
+  ASSERT_TRUE(ticket.value().Get(&served).ok());
+  server.Stop();
+
+  auto created = SolverRegistry::Global().Create(spec);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Solver> reference = std::move(created).ValueOrDie();
+  ASSERT_TRUE(reference->Prepare(graph).ok());
+  SolverContext context(/*seed=*/11);
+  PprResult expected;
+  ASSERT_TRUE(reference->Solve(good, context, &expected).ok());
+  EXPECT_TRUE(testing::BitEqual(served.scores, expected.scores));
+
+  const PprServerStats stats = server.Snapshot();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.failed + stats.shed + stats.cancelled);
+}
+
 // ---------------------------------------------------------------------
 // Deadlines, shedding, degraded mode, future lifecycle
 // ---------------------------------------------------------------------
