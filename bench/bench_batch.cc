@@ -2,9 +2,13 @@
 // versus the same queries solved one by one, swept over the block size
 // B, plus the served path (PprServer with max_batch coalescing). Emits
 // BENCH_batch.json so the fusion win is trackable across commits. Fused
-// rows also carry csr_sweeps, a deterministic work counter: each block
+// rows also carry csr_sweeps, a deterministic figure derived here from
+// the per-query SolveStats::iterations: a block of B consecutive queries
 // sweeps the CSR as often as its slowest query iterates, so it is the
-// sum over blocks of the largest SolveStats::iterations in the block.
+// sum over blocks of the largest iteration count in the block. Nothing
+// in the kernel counts sweeps, so the figure assumes fusion happened;
+// it tracks per-query iteration counts across B, not fusion itself
+// (time_per_query_ms does that).
 //
 // Expected shape: time_per_query_ms falls as B grows — a block of B
 // sources shares one CSR traversal per sweep instead of paying B — and

@@ -1471,11 +1471,12 @@ Result<std::unique_ptr<Solver>> FinishSolver(const CommonOptions& common,
 /// The numeric option domains, checked once per factory so a bad value
 /// fails Create with InvalidArgument instead of aborting in a kernel's
 /// precondition check or overflowing a walk count later: alpha, lambda
-/// and eps in (0, 1); mu and each of `derived` (rmax, delta,
-/// scan_threshold, index_eps, powerpush's lambda) in [0, 1), where 0
-/// means "derive it from the other parameters" (for mu: 1/n). All are
-/// probabilities, error targets, thresholds or fractions, and a value of
-/// 1 or more leaves nothing to compute. NaN fails every comparison.
+/// and eps in (0, 1); mu and each of `derived` (rmax, delta, index_eps,
+/// powerpush's lambda) in [0, 1), where 0 means "derive it from the
+/// other parameters" (for mu: 1/n). All are probabilities, error targets
+/// or thresholds, and a value of 1 or more leaves nothing to compute.
+/// NaN fails every comparison. powerpush's scan_threshold is a fraction
+/// of n with its own domain, checked in its factory.
 Status ValidateParams(
     const ParamDefaults& params,
     std::initializer_list<std::pair<std::string_view, double>> derived = {}) {
@@ -1573,8 +1574,15 @@ Result<std::unique_ptr<Solver>> MakePowerPush(const SolverSpec& spec) {
       .Double("scan_threshold", &scan_threshold)
       .Bool("queue_phase", &queue_phase);
   PPR_RETURN_IF_ERROR(reader.Finish());
-  PPR_RETURN_IF_ERROR(ValidateParams(
-      params, {{"lambda", lambda}, {"scan_threshold", scan_threshold}}));
+  PPR_RETURN_IF_ERROR(ValidateParams(params, {{"lambda", lambda}}));
+  // A fraction of n: 0 switches to the scan phase at once, and 1 or
+  // more never switches (queue-only), so only the upper end is open.
+  if (!(scan_threshold >= 0.0 && std::isfinite(scan_threshold))) {
+    std::ostringstream message;
+    message << "option 'scan_threshold' expects a finite value >= 0; got "
+            << scan_threshold;
+    return Status::InvalidArgument(message.str());
+  }
   if (epochs < 0) {
     return Status::InvalidArgument("powerpush: epochs must be >= 0");
   }

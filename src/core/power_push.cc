@@ -84,8 +84,11 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
   const double alpha = options.alpha;
   const double lambda = options.lambda;
   const double rmax = lambda / static_cast<double>(graph.num_edges());
-  const size_t scan_threshold = static_cast<size_t>(
-      std::max(1.0, options.scan_threshold_fraction * n));
+  // The queue never holds more than n nodes, so any fraction >= 1 means
+  // queue-only; capping at n + 1 keeps huge fractions from overflowing
+  // the cast.
+  const size_t scan_threshold = static_cast<size_t>(std::clamp(
+      options.scan_threshold_fraction * n, 1.0, static_cast<double>(n) + 1));
 
   Timer timer;
   if (trace != nullptr) trace->Start();

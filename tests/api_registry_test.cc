@@ -138,7 +138,7 @@ TEST(SolverRegistryTest, CreateRejectsUnknownNamesAndOptions) {
 
   // Values that parse but lie outside the option's domain fail Create
   // instead of aborting later in a kernel precondition (or, for rmax
-  // and scan_threshold, being accepted and overflowing a count).
+  // and scan_threshold, being accepted silently).
   for (const char* spec :
        {"fwdpush:alpha=2", "fwdpush:alpha=inf", "fwdpush:alpha=0",
         "resacc:alpha=1", "powitr:lambda=nan", "powerpush:lambda=2",
@@ -146,14 +146,18 @@ TEST(SolverRegistryTest, CreateRejectsUnknownNamesAndOptions) {
         "fora:eps=inf", "bippr:eps=2", "speedppr:mu=-1", "mc:mu=1e308",
         "fwdpush:rmax=-1", "dynfwdpush:rmax=nan", "hubppr:rmax=inf",
         "bippr:rmax=1e308", "bippr:delta=-1", "fora:index_eps=nan",
-        "powerpush:scan_threshold=nan", "powerpush:scan_threshold=2"}) {
+        "powerpush:scan_threshold=nan", "powerpush:scan_threshold=inf",
+        "powerpush:scan_threshold=-1"}) {
     auto created = SolverRegistry::Global().Create(spec);
     ASSERT_FALSE(created.ok()) << spec;
     EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument) << spec;
   }
-  // 0 still selects the derived default where one exists.
-  for (const char* spec : {"fwdpush:rmax=0", "powerpush:lambda=0",
-                           "hubppr:rmax=0", "speedppr:mu=0"}) {
+  // 0 still selects the derived default where one exists, and a scan
+  // threshold of n or more (queue-only PowerPush) is a real setting.
+  for (const char* spec :
+       {"fwdpush:rmax=0", "powerpush:lambda=0", "hubppr:rmax=0",
+        "speedppr:mu=0", "powerpush:scan_threshold=0",
+        "powerpush:scan_threshold=4", "powerpush:scan_threshold=1e308"}) {
     auto created = SolverRegistry::Global().Create(spec);
     EXPECT_TRUE(created.ok()) << spec << ": " << created.status().ToString();
   }
@@ -162,11 +166,14 @@ TEST(SolverRegistryTest, CreateRejectsUnknownNamesAndOptions) {
 TEST(SolverRegistryTest, PowerPushAblationOptionsStayConformant) {
   // The §5 ablation axes are registry options now (the ablation benches
   // depend on them): epochs=0 disables the epoch schedule, and
-  // queue_phase=false skips the FIFO phase entirely. Both are exact
+  // queue_phase=false skips the FIFO phase entirely, and a
+  // scan_threshold of 1 or more never leaves the FIFO phase (queue-only;
+  // 1e308 must not overflow the node count it scales). All are exact
   // ablations — every variant must still meet its advertised L1 bound.
   for (const char* spec :
        {"powerpush:epochs=0", "powerpush:queue_phase=false",
-        "powerpush:queue_phase=false,epochs=0"}) {
+        "powerpush:queue_phase=false,epochs=0", "powerpush:scan_threshold=0",
+        "powerpush:scan_threshold=4", "powerpush:scan_threshold=1e308"}) {
     auto created = SolverRegistry::Global().Create(spec);
     ASSERT_TRUE(created.ok()) << spec << ": " << created.status().ToString();
     std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
