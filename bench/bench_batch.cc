@@ -2,13 +2,10 @@
 // versus the same queries solved one by one, swept over the block size
 // B, plus the served path (PprServer with max_batch coalescing). Emits
 // BENCH_batch.json so the fusion win is trackable across commits. Fused
-// rows also carry csr_sweeps, a deterministic figure derived here from
-// the per-query SolveStats::iterations: a block of B consecutive queries
-// sweeps the CSR as often as its slowest query iterates, so it is the
-// sum over blocks of the largest iteration count in the block. Nothing
-// in the kernel counts sweeps, so the figure assumes fusion happened;
-// it tracks per-query iteration counts across B, not fusion itself
-// (time_per_query_ms does that).
+// rows also carry csr_sweeps, the CSR sweeps the fused kernel counted
+// (SolverContext::fused_sweeps) over one SolveMany of all queries: a
+// deterministic figure that falls with B only if blocks really share
+// their sweeps.
 //
 // Expected shape: time_per_query_ms falls as B grows — a block of B
 // sources shares one CSR traversal per sweep instead of paying B — and
@@ -100,21 +97,13 @@ int main() {
       PPR_CHECK(fused != nullptr);
       double fused_best = std::numeric_limits<double>::infinity();
       std::vector<PprResult> results;
+      uint64_t csr_sweeps = 0;
       for (int rep = 0; rep < kReps; ++rep) {
         SolverContext context;
         Timer timer;
         PPR_CHECK_OK(fused->SolveMany(queries, context, &results));
         fused_best = std::min(fused_best, timer.ElapsedSeconds());
-      }
-      // SolveMany fuses consecutive queries, B at a time.
-      uint64_t csr_sweeps = 0;
-      for (size_t first = 0; first < results.size(); first += batch) {
-        uint64_t block_sweeps = 0;
-        for (size_t i = first; i < std::min(first + batch, results.size());
-             ++i) {
-          block_sweeps = std::max(block_sweeps, results[i].stats.iterations);
-        }
-        csr_sweeps += block_sweeps;
+        csr_sweeps = context.fused_sweeps();
       }
       emit("fused", batch, /*workers=*/1, fused_best)
           .Int("csr_sweeps", csr_sweeps);

@@ -1,5 +1,10 @@
 #include "api/context.h"
 
+#include <algorithm>
+#include <utility>
+
+#include "util/logging.h"
+
 namespace ppr {
 
 SolverContext::SolverContext(uint64_t seed) : rng_(seed) {}
@@ -19,7 +24,6 @@ PprEstimate* SolverContext::AcquireEstimate(NodeId n, NodeId source) {
   }
   estimate_support_.clear();
   estimate_support_tracked_ = false;
-  support_exported_ = false;
   // Dirty until the solve records its support via Export/Release; a
   // solver that errors out mid-query therefore costs one full assign,
   // never a stale workspace.
@@ -62,13 +66,24 @@ std::vector<double>* SolverContext::AcquireBlockScratch(size_t slot,
 
 void SolverContext::ExportEstimate(bool with_residues, PprResult* result) {
   const NodeId n = static_cast<NodeId>(estimate_.reserve.size());
+  const bool reuse_support = std::exchange(result_support_reusable_, false);
   estimate_clean_ = true;
-  support_exported_ = estimate_support_tracked_;
   if (estimate_support_tracked_) {
-    result->scores.assign(n, 0.0);
-    for (NodeId v : estimate_support_) {
-      result->scores[v] = estimate_.reserve[v];
+    std::vector<double>& scores = result->scores;
+    if (reuse_support && scores.size() == n) {
+      // The caller may have shrunk and regrown the vector since its
+      // support was set, so ids past n are skipped, not trusted.
+      for (NodeId v : result->support) {
+        if (v < n) scores[v] = 0.0;
+      }
+      PPR_DCHECK(std::all_of(scores.begin(), scores.end(),
+                             [](double x) { return x == 0.0; }))
+          << "a reused PprResult had a nonzero score outside its support";
+      result_sparse_resets_++;
+    } else {
+      scores.assign(n, 0.0);
     }
+    for (NodeId v : estimate_support_) scores[v] = estimate_.reserve[v];
     if (with_residues) {
       result->residues.assign(n, 0.0);
       for (NodeId v : estimate_support_) {
@@ -77,6 +92,8 @@ void SolverContext::ExportEstimate(bool with_residues, PprResult* result) {
     } else {
       result->residues.clear();
     }
+    result->support.assign(estimate_support_.begin(), estimate_support_.end());
+    result->support_valid = true;
     return;
   }
   result->scores.resize(n);
@@ -97,7 +114,6 @@ void SolverContext::ExportEstimate(bool with_residues, PprResult* result) {
 
 void SolverContext::ExportScores(PprResult* result) {
   const NodeId n = static_cast<NodeId>(scores_.size());
-  support_exported_ = false;
   result->scores.resize(n);
   result->residues.clear();
   scores_support_.clear();

@@ -100,24 +100,26 @@ class SolverContext {
     return &estimate_support_;
   }
 
+  /// Solver::Solve passes whether the result it is about to solve into
+  /// carried a valid support (PprResult::support_valid, which Solve then
+  /// clears). Only the next ExportEstimate reads it; Solve withdraws it
+  /// after the solve either way.
+  void set_result_support_reusable(bool reusable) {
+    result_support_reusable_ = reusable;
+  }
+
   /// Copies the estimate workspace into result->scores (and, when
   /// `with_residues`, result->residues), recording the workspace support
   /// so the next AcquireEstimate can sparse-reset. With a tracked
-  /// support the copy is a zero-fill of n plus a scatter of the support;
-  /// otherwise it scans both vectors. Either way every entry of the
-  /// result is rewritten, so nothing a reused result held survives.
+  /// support the scores are reset and then scattered over the support,
+  /// which is also copied into result->support (support_valid set). The
+  /// reset zeroes only the result's previous support when
+  /// set_result_support_reusable(true) preceded this call and the
+  /// scores are n long; otherwise it is one zero-fill of n. Residues
+  /// are zero-filled and scattered. Without a tracked support both
+  /// vectors are scanned and every entry is rewritten. Either way
+  /// nothing a reused result held survives.
   void ExportEstimate(bool with_residues, PprResult* result);
-
-  /// The tracked support behind the last ExportEstimate: every id
-  /// outside it holds exactly 0 in the exported vectors. nullptr after a
-  /// scanned export, any later Acquire/Export, or ForgetExportedSupport.
-  /// Solver::Solve takes top-k over it instead of over all n ids.
-  const std::vector<NodeId>* exported_support() const {
-    return support_exported_ ? &estimate_support_ : nullptr;
-  }
-  /// Solver::Solve calls this before every solve, so a support never
-  /// describes a result it did not export.
-  void ForgetExportedSupport() { support_exported_ = false; }
 
   /// Copies the score scratch into result->scores, recording support.
   void ExportScores(PprResult* result);
@@ -136,7 +138,6 @@ class SolverContext {
   void InvalidateWorkspace() {
     estimate_clean_ = false;
     scores_clean_ = false;
-    support_exported_ = false;
   }
 
   /// ContextPool bookkeeping: the pool epoch this context last saw,
@@ -152,6 +153,13 @@ class SolverContext {
   uint64_t full_assigns() const { return full_assigns_; }
   /// Number of sparse (support-only) resets performed.
   uint64_t sparse_resets() const { return sparse_resets_; }
+  /// Number of exports that reset a reused result over its previous
+  /// support instead of zero-filling all n scores.
+  uint64_t result_sparse_resets() const { return result_sparse_resets_; }
+  /// CSR sweeps made by the fused multi-source kernel: one per sweep of
+  /// a block, however many sources the block holds.
+  uint64_t fused_sweeps() const { return fused_sweeps_; }
+  void CountFusedSweeps(uint64_t sweeps) { fused_sweeps_ += sweeps; }
 
  private:
   Rng rng_;
@@ -162,7 +170,7 @@ class SolverContext {
   std::vector<NodeId> estimate_support_;
   bool estimate_clean_ = false;  // support list describes all nonzeros
   bool estimate_support_tracked_ = false;  // filled by the kernel
-  bool support_exported_ = false;          // see exported_support()
+  bool result_support_reusable_ = false;   // see set_result_support_reusable
 
   std::vector<double> scores_;
   std::vector<NodeId> scores_support_;
@@ -175,6 +183,8 @@ class SolverContext {
 
   uint64_t full_assigns_ = 0;
   uint64_t sparse_resets_ = 0;
+  uint64_t result_sparse_resets_ = 0;
+  uint64_t fused_sweeps_ = 0;
   uint64_t pool_epoch_ = 0;
 };
 

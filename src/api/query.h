@@ -77,6 +77,18 @@ struct PprResult {
   /// Top-k node ids by score, decreasing; filled iff query.top_k > 0.
   std::vector<NodeId> top_nodes;
 
+  /// Sparse description of `scores`, set by solves that know which ids
+  /// they wrote (FIFO fwdpush without order=). Invariant: while
+  /// `support_valid` is true, `support` is duplicate-free and every id
+  /// outside it has a score of exactly 0 (ids inside may score 0 too).
+  /// Solving again into the same result then resets only these ids
+  /// instead of zero-filling all n. A caller that writes a nonzero
+  /// score outside `support` must first set `support_valid = false`
+  /// (or replace the whole result); otherwise a later solve into this
+  /// result may keep that entry.
+  std::vector<NodeId> support;
+  bool support_valid = false;
+
   /// Work counters (pushes, walks, seconds, final rsum).
   SolveStats stats;
 

@@ -61,6 +61,9 @@ Status Solver::Prepare(const Graph& graph) {
     return Status::FailedPrecondition(
         std::string(name()) + " requires a graph without dead ends");
   }
+  // A layout relabels nodes but keeps n and m, so the configured values
+  // are checked on the caller's graph before anything is built.
+  PPR_RETURN_IF_ERROR(CheckParams(graph, PprQuery{}));
   perm_.clear();
   permuted_.reset();
   if (order_ != GraphOrder::kNone) {
@@ -96,41 +99,53 @@ Status Solver::Solve(const PprQuery& query, SolverContext& context,
   result->stats = SolveStats{};
   result->epoch = 0;  // dynamic solvers stamp their epoch in DoSolve
   result->degraded = false;
-  context.ForgetExportedSupport();
-  if (perm_.empty()) {
-    PPR_RETURN_IF_ERROR(DoSolve(query, context, result));
-  } else {
-    PprQuery mapped = query;
-    mapped.source = LayoutOf(query.source);
-    if (query.target != kNoTarget) mapped.target = LayoutOf(query.target);
-    PPR_RETURN_IF_ERROR(DoSolve(mapped, context, result));
-    // Back to original ids: entry v lives at layout slot LayoutOf(v)
-    // (perm_[v], identity for nodes added after Prepare). The
-    // gather-and-swap through the context scratch keeps warm queries
-    // allocation-free.
-    const NodeId n = static_cast<NodeId>(result->scores.size());
-    std::vector<double>& scratch = *context.RemapScratch();
-    scratch.resize(n);
-    for (NodeId v = 0; v < n; ++v) scratch[v] = result->scores[LayoutOf(v)];
-    result->scores.swap(scratch);
-    if (!result->residues.empty()) {
-      for (NodeId v = 0; v < n; ++v) {
-        scratch[v] = result->residues[LayoutOf(v)];
-      }
-      result->residues.swap(scratch);
-    }
+  // The result's support may spare the export a zero-fill of n. Only
+  // an export that sets it anew (ExportEstimate with a tracked support)
+  // leaves it valid, so dense writers and failed solves leave it unset.
+  context.set_result_support_reusable(
+      std::exchange(result->support_valid, false));
+  Status status = perm_.empty() ? DoSolve(query, context, result)
+                                : SolveInLayout(query, context, result);
+  context.set_result_support_reusable(false);
+  if (status.ok() && cancel != nullptr) status = cancel->CheckNow();
+  if (!status.ok()) {
+    result->support_valid = false;
+    return status;
   }
-  if (cancel != nullptr) PPR_RETURN_IF_ERROR(cancel->CheckNow());
   result->solver = name();
   result->l1_bound = AdvertisedL1Bound(query);
   if (query.top_k > 0) {
-    // Every id outside an exported support scored 0. Its ids are layout
-    // ids, so the order= remap keeps the dense form.
-    const std::vector<NodeId>* support =
-        perm_.empty() ? context.exported_support() : nullptr;
-    result->top_nodes = support != nullptr
-                            ? TopK(result->scores, *support, query.top_k)
-                            : TopK(result->scores, query.top_k);
+    // Every id outside a valid support scored 0.
+    result->top_nodes =
+        result->support_valid
+            ? TopK(result->scores, result->support, query.top_k)
+            : TopK(result->scores, query.top_k);
+  }
+  return Status::OK();
+}
+
+Status Solver::SolveInLayout(const PprQuery& query, SolverContext& context,
+                             PprResult* result) {
+  PprQuery mapped = query;
+  mapped.source = LayoutOf(query.source);
+  if (query.target != kNoTarget) mapped.target = LayoutOf(query.target);
+  PPR_RETURN_IF_ERROR(DoSolve(mapped, context, result));
+  // Back to original ids: entry v lives at layout slot LayoutOf(v)
+  // (perm_[v], identity for nodes added after Prepare). The
+  // gather-and-swap through the context scratch keeps warm queries
+  // allocation-free. A support the export set holds layout ids, so the
+  // result leaves without one.
+  result->support_valid = false;
+  const NodeId n = static_cast<NodeId>(result->scores.size());
+  std::vector<double>& scratch = *context.RemapScratch();
+  scratch.resize(n);
+  for (NodeId v = 0; v < n; ++v) scratch[v] = result->scores[LayoutOf(v)];
+  result->scores.swap(scratch);
+  if (!result->residues.empty()) {
+    for (NodeId v = 0; v < n; ++v) {
+      scratch[v] = result->residues[LayoutOf(v)];
+    }
+    result->residues.swap(scratch);
   }
   return Status::OK();
 }
@@ -156,7 +171,7 @@ Status Solver::ValidateQuery(const PprQuery& query) const {
       return Status::InvalidArgument(message.str());
     }
   }
-  return Status::OK();
+  return CheckParams(*graph_, query);
 }
 
 double Solver::AdvertisedL1Bound(const PprQuery& /*query*/) const {

@@ -95,7 +95,9 @@ class Solver {
   /// Validates the capability preconditions (in-adjacency, dead ends).
   [[nodiscard]] virtual Status Prepare(const Graph& graph);
 
-  /// Answers one query. `result` is overwritten. Returns
+  /// Answers one query. `result` is overwritten; reusing one result
+  /// across queries is cheaper than a fresh one (see
+  /// PprResult::support). Returns
   /// FailedPrecondition when Prepare() has not succeeded and
   /// InvalidArgument for a query ValidateQuery() rejects. Concurrent calls
   /// on one solver are safe when each thread uses its own context —
@@ -179,14 +181,30 @@ class Solver {
   /// The per-query check Solve() and SolveMany() run before any compute:
   /// source and target below CurrentNumNodes(), and each of alpha,
   /// lambda, epsilon and mu either 0 (the solver's default) or in
-  /// (0, 1), the same domain the registry options have. InvalidArgument
-  /// otherwise, so one bad query fails alone instead of aborting in a
-  /// kernel's precondition check.
+  /// (0, 1), the same domain the registry options have; then
+  /// CheckParams. InvalidArgument otherwise, so one bad query fails
+  /// alone instead of aborting in a kernel's precondition check.
   Status ValidateQuery(const PprQuery& query) const;
+
+  /// Solver-specific limits on the resolved parameters of `query` on
+  /// `graph`, checked last by ValidateQuery and, with an empty query
+  /// (the configured values), by Prepare() before it changes any state.
+  /// InvalidArgument for a value the registry domains admit but the
+  /// solver cannot run: walk-based solvers reject a walk count above
+  /// kMaxWalkCount (approx/random_walk.h). OK by default.
+  virtual Status CheckParams(const Graph& /*graph*/,
+                             const PprQuery& /*query*/) const {
+    return Status::OK();
+  }
 
   const Graph* graph_ = nullptr;
 
  private:
+  /// Solve()'s order= path: DoSolve on layout ids, then the result
+  /// mapped back to original ids.
+  Status SolveInLayout(const PprQuery& query, SolverContext& context,
+                       PprResult* result);
+
   unsigned threads_ = 0;
   GraphOrder order_ = GraphOrder::kNone;
   /// Original id -> layout id; empty when order_ == kNone.

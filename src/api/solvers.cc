@@ -36,6 +36,7 @@
 #include "approx/hubppr.h"
 #include "approx/monte_carlo.h"
 #include "approx/resacc.h"
+#include "approx/random_walk.h"
 #include "approx/residue_walks.h"
 #include "approx/speedppr.h"
 #include "approx/walk_index.h"
@@ -99,6 +100,12 @@ struct ParamDefaults {
     const double m = q.mu > 0 ? q.mu : mu;
     return m > 0 ? m : 1.0 / static_cast<double>(n);
   }
+  /// InvalidArgument when the Chernoff walk count at this query's ε and
+  /// μ exceeds kMaxWalkCount (a tiny but valid ε or μ): the CheckParams
+  /// of the solvers whose walk counts follow Equation (12).
+  Status CheckWalks(const PprQuery& q, NodeId n) const {
+    return CheckWalkBudget(ChernoffWalkBudget(n, Epsilon(q), Mu(q, n)));
+  }
 };
 
 /// Shared body of the fused DoSolveMany paths: builds the flat n·B
@@ -147,13 +154,13 @@ void RunFusedBlock(const Graph& graph, SolverContext& context,
   out.scores = score_ptrs;
   out.residues = residue_ptrs;
   out.stats = stats;
-  MultiSourceFusedSolve(graph, sources, alpha, threshold, top_k, cancels,
-                        options, *reserve, *residue, *next,
-                        threads > 1
-                            ? context.AcquireThreadBuffers(
-                                  threads, static_cast<NodeId>(words))
-                            : nullptr,
-                        out);
+  context.CountFusedSweeps(MultiSourceFusedSolve(
+      graph, sources, alpha, threshold, top_k, cancels, options, *reserve,
+      *residue, *next,
+      threads > 1
+          ? context.AcquireThreadBuffers(threads, static_cast<NodeId>(words))
+          : nullptr,
+      out));
   for (size_t b = 0; b < B; ++b) results[b].stats = stats[b];
 }
 
@@ -243,7 +250,8 @@ class ForwardPushSolver : public BatchSolver {
                                           estimate, context.trace());
     } else {
       // The FIFO loop reports its support, so the export and top-k cost
-      // O(support) on top of one zero-fill instead of O(n) scans.
+      // O(support) instead of O(n) scans, plus one zero-fill of n unless
+      // the result is reused (then its previous support is reset).
       options.support = context.TrackEstimateSupport();
       result->stats =
           FifoForwardPush(*graph_, query.source, options, estimate,
@@ -775,6 +783,11 @@ class MonteCarloSolver : public Solver {
   }
 
  protected:
+  Status CheckParams(const Graph& graph,
+                     const PprQuery& query) const override {
+    return params_.CheckWalks(query, graph.num_nodes());
+  }
+
   Status DoSolve(const PprQuery& query, SolverContext& context,
                  PprResult* result) override {
     const NodeId n = graph_->num_nodes();
@@ -856,8 +869,7 @@ class TwoPhaseSolver : public BatchSolver {
       // FORA+ sizing depends on W and therefore on the ε the index is
       // built for (§6.1); smaller index_eps serves every larger ε.
       sizing = WalkIndex::Sizing::kForaPlus;
-      const double eps = index_eps_ > 0 ? index_eps_ : params_.epsilon;
-      w = ChernoffWalkCount(n, eps, params_.Mu({}, n));
+      w = ChernoffWalkCount(n, IndexEpsilon(), params_.Mu({}, n));
     }
     // cache_dir=: reuse a previously saved index whose filename matches
     // every build input; otherwise build and save for the next Prepare.
@@ -908,6 +920,15 @@ class TwoPhaseSolver : public BatchSolver {
   const WalkIndex* index() const { return index_.get(); }
 
  protected:
+  Status CheckParams(const Graph& graph,
+                     const PprQuery& query) const override {
+    const NodeId n = graph.num_nodes();
+    PPR_RETURN_IF_ERROR(params_.CheckWalks(query, n));
+    if (!indexed_ || kind_ != Kind::kFora) return Status::OK();
+    return CheckWalkBudget(
+        ChernoffWalkBudget(n, IndexEpsilon(), params_.Mu({}, n)));
+  }
+
   Status DoSolve(const PprQuery& query, SolverContext& context,
                  PprResult* result) override {
     if (max_fused() > 0) {
@@ -975,6 +996,12 @@ class TwoPhaseSolver : public BatchSolver {
   }
 
  private:
+  /// The ε FORA+ sizes its walk index for: index_eps=, else the
+  /// configured ε (a smaller index ε serves every larger query ε).
+  double IndexEpsilon() const {
+    return index_eps_ > 0 ? index_eps_ : params_.epsilon;
+  }
+
   /// Fused FORA body shared by DoSolveMany (per-query seed streams) and
   /// the batch= B=1 DoSolve (`serial_rng` = the context RNG, so
   /// Reseed(seed)+Solve equals SolveMany at that seed bit-for-bit).
@@ -1142,8 +1169,7 @@ class DynTwoPhaseSolver : public DynamicPoolSolver {
     } else {
       // FORA+ sizing at the index ε (≤ the serving ε tops up less).
       sizing = WalkIndex::Sizing::kForaPlus;
-      const double eps = index_eps_ > 0 ? index_eps_ : params_.epsilon;
-      index_w = ChernoffWalkCount(n, eps, params_.Mu({}, n));
+      index_w = ChernoffWalkCount(n, IndexEpsilon(), params_.Mu({}, n));
     }
     index_ = std::make_unique<DynamicWalkIndex>(
         *graph_, params_.alpha, sizing, index_w, index_seed_, drift_factor_);
@@ -1207,6 +1233,15 @@ class DynTwoPhaseSolver : public DynamicPoolSolver {
   const DynamicWalkIndex* index() const { return index_.get(); }
 
  protected:
+  Status CheckParams(const Graph& graph,
+                     const PprQuery& query) const override {
+    const NodeId n = graph.num_nodes();
+    PPR_RETURN_IF_ERROR(params_.CheckWalks(query, n));
+    if (kind_ != Kind::kFora) return Status::OK();
+    return CheckWalkBudget(
+        ChernoffWalkBudget(n, IndexEpsilon(), params_.Mu({}, n)));
+  }
+
   Status DoSolve(const PprQuery& query, SolverContext& context,
                  PprResult* result) override {
     if (query.alpha > 0 && query.alpha != params_.alpha) {
@@ -1260,6 +1295,11 @@ class DynTwoPhaseSolver : public DynamicPoolSolver {
   }
 
  private:
+  /// FORA+ index sizing ε: index_eps=, else the configured ε.
+  double IndexEpsilon() const {
+    return index_eps_ > 0 ? index_eps_ : params_.epsilon;
+  }
+
   /// The walk phase's fresh-walk top-ups need a CSR of the current
   /// graph; materialized once per epoch, not per query. Caller holds
   /// mu_.
@@ -1300,6 +1340,11 @@ class ResAccSolver : public Solver {
   }
 
  protected:
+  Status CheckParams(const Graph& graph,
+                     const PprQuery& query) const override {
+    return params_.CheckWalks(query, graph.num_nodes());
+  }
+
   Status DoSolve(const PprQuery& query, SolverContext& context,
                  PprResult* result) override {
     ApproxOptions options;
@@ -1347,6 +1392,16 @@ class SinglePairSolver : public Solver {
 
   virtual BiPprResult SolvePair(NodeId source, NodeId target,
                                 const PprQuery& query, Rng& rng) = 0;
+
+  /// The forward-phase walk budget SolvePair spends on one pair of
+  /// `query` on `graph`.
+  virtual double WalkBudget(const Graph& graph,
+                            const PprQuery& query) const = 0;
+
+  Status CheckParams(const Graph& graph,
+                     const PprQuery& query) const override {
+    return CheckWalkBudget(WalkBudget(graph, query));
+  }
 
   Status DoSolve(const PprQuery& query, SolverContext& context,
                  PprResult* result) override {
@@ -1404,15 +1459,24 @@ class BiPprSolver : public SinglePairSolver {
  protected:
   BiPprResult SolvePair(NodeId source, NodeId target, const PprQuery& query,
                         Rng& rng) override {
+    return BiPpr(*graph_, source, target, PairOptions(query), rng);
+  }
+
+  double WalkBudget(const Graph& graph,
+                    const PprQuery& query) const override {
+    return BiPprWalkBudget(graph, PairOptions(query));
+  }
+
+ private:
+  BiPprOptions PairOptions(const PprQuery& query) const {
     BiPprOptions options;
     options.alpha = params_.Alpha(query);
     options.epsilon = params_.Epsilon(query);
     options.delta = delta_;
     options.rmax = rmax_;
-    return BiPpr(*graph_, source, target, options, rng);
+    return options;
   }
 
- private:
   const double delta_;
   const double rmax_;
 };
@@ -1434,13 +1498,9 @@ class HubPprSolver : public SinglePairSolver {
 
   Status Prepare(const Graph& graph) override {
     PPR_RETURN_IF_ERROR(Solver::Prepare(graph));
-    HubPprIndex::Options options;
-    options.alpha = params_.alpha;
-    options.num_hubs = static_cast<NodeId>(num_hubs_);
-    if (rmax_ > 0) options.rmax = rmax_;
     // graph_, not the argument: under order= the hub oracles must live
     // in the same relabeled id space the queries arrive in.
-    index_ = HubPprIndex::Build(*graph_, options);
+    index_ = HubPprIndex::Build(*graph_, IndexOptions());
     return Status::OK();
   }
 
@@ -1450,7 +1510,21 @@ class HubPprSolver : public SinglePairSolver {
     return index_->Query(source, target, params_.Epsilon(query), rng);
   }
 
+  double WalkBudget(const Graph& graph,
+                    const PprQuery& query) const override {
+    return HubPprIndex::WalkBudget(graph.num_nodes(), IndexOptions(),
+                                   params_.Epsilon(query));
+  }
+
  private:
+  HubPprIndex::Options IndexOptions() const {
+    HubPprIndex::Options options;
+    options.alpha = params_.alpha;
+    options.num_hubs = static_cast<NodeId>(num_hubs_);
+    if (rmax_ > 0) options.rmax = rmax_;
+    return options;
+  }
+
   const uint64_t num_hubs_;
   const double rmax_;
   std::optional<HubPprIndex> index_;

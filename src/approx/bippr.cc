@@ -1,7 +1,9 @@
 #include "approx/bippr.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "approx/random_walk.h"
 #include "core/backward_push.h"
 #include "util/timer.h"
 
@@ -31,38 +33,50 @@ double WalkContribution(const Graph& graph, NodeId source, double alpha,
   return contribution;
 }
 
+/// δ as BiPpr() resolves it: 0 selects 1/n.
+double ResolvedDelta(const Graph& graph, const BiPprOptions& options) {
+  return options.delta > 0.0 ? options.delta
+                             : 1.0 / static_cast<double>(graph.num_nodes());
+}
+
+/// Backward-push rmax as BiPpr() resolves it: 0 selects the balanced
+/// sqrt-tradeoff value.
+double ResolvedRmax(const Graph& graph, const BiPprOptions& options) {
+  if (options.rmax > 0.0) return options.rmax;
+  const double n = static_cast<double>(graph.num_nodes());
+  const double m = static_cast<double>(graph.num_edges());
+  return options.epsilon *
+         std::sqrt(ResolvedDelta(graph, options) * m / n / std::log(n));
+}
+
 }  // namespace
+
+double BiPprWalkBudget(NodeId n, double rmax, double epsilon, double delta) {
+  return 8.0 * rmax * std::log(2.0 * n) / (epsilon * epsilon * delta);
+}
+
+double BiPprWalkBudget(const Graph& graph, const BiPprOptions& options) {
+  return BiPprWalkBudget(graph.num_nodes(), ResolvedRmax(graph, options),
+                         options.epsilon, ResolvedDelta(graph, options));
+}
 
 BiPprResult BiPpr(const Graph& graph, NodeId source, NodeId target,
                   const BiPprOptions& options, Rng& rng) {
   PPR_CHECK(source < graph.num_nodes() && target < graph.num_nodes());
-  const NodeId n = graph.num_nodes();
-  const double delta =
-      options.delta > 0.0 ? options.delta : 1.0 / static_cast<double>(n);
   Timer timer;
 
   // Backward phase.
   BackwardPushOptions backward;
   backward.alpha = options.alpha;
-  if (options.rmax > 0.0) {
-    backward.rmax = options.rmax;
-  } else {
-    const double m = static_cast<double>(graph.num_edges());
-    backward.rmax =
-        options.epsilon *
-        std::sqrt(delta * m / static_cast<double>(n) / std::log(n));
-  }
+  backward.rmax = ResolvedRmax(graph, options);
   PprEstimate est;
   SolveStats backward_stats = BackwardPush(graph, target, backward, &est);
 
   // Forward phase: walks refine the residual expectation. Chernoff-style
   // count for relative error epsilon at magnitude delta, scaled by the
   // max residue (the per-sample range).
-  const double rmax = backward.rmax;
-  uint64_t walks = static_cast<uint64_t>(
-      std::ceil(8.0 * rmax * std::log(2.0 * n) /
-                (options.epsilon * options.epsilon * delta)));
-  walks = std::max<uint64_t>(walks, 16);
+  const uint64_t walks =
+      std::max<uint64_t>(WalkCount(BiPprWalkBudget(graph, options)), 16);
 
   // The identity needs E over the *alive-visit* distribution; each
   // walk's contribution sums alpha * residue(v) over visited nodes v.

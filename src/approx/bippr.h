@@ -39,6 +39,16 @@ struct BiPprResult {
 BiPprResult BiPpr(const Graph& graph, NodeId source, NodeId target,
                   const BiPprOptions& options, Rng& rng);
 
+/// Forward-phase walk budget of the bidirectional estimators before
+/// rounding: 8·rmax·log(2n)/(ε²·δ), Chernoff-style for relative error ε
+/// at magnitude δ with per-sample range rmax. Solvers pass it to
+/// CheckWalkBudget (approx/random_walk.h) before a query runs.
+double BiPprWalkBudget(NodeId n, double rmax, double epsilon, double delta);
+
+/// The budget BiPpr() spends per pair under `options`, with δ and rmax
+/// resolved the way BiPpr() resolves them.
+double BiPprWalkBudget(const Graph& graph, const BiPprOptions& options);
+
 }  // namespace ppr
 
 #endif  // PPR_APPROX_BIPPR_H_

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "approx/random_walk.h"
 #include "core/backward_push.h"
 #include "core/pagerank.h"
 #include "util/timer.h"
@@ -88,12 +89,8 @@ BiPprResult HubPprIndex::Query(NodeId source, NodeId target, double epsilon,
     state = &fresh;
   }
 
-  const NodeId n = graph_->num_nodes();
-  const double delta = 1.0 / static_cast<double>(n);
-  uint64_t walks = static_cast<uint64_t>(
-      std::ceil(8.0 * options_.rmax * std::log(2.0 * n) /
-                (epsilon * epsilon * delta)));
-  walks = std::max<uint64_t>(walks, 16);
+  const uint64_t walks =
+      std::max<uint64_t>(WalkCount(WalkBudget(epsilon)), 16);
 
   double total = 0.0;
   for (uint64_t i = 0; i < walks; ++i) {
@@ -105,6 +102,12 @@ BiPprResult HubPprIndex::Query(NodeId source, NodeId target, double epsilon,
   result.walks = walks;
   result.seconds = timer.ElapsedSeconds();
   return result;
+}
+
+double HubPprIndex::WalkBudget(NodeId n, const Options& options,
+                               double epsilon) {
+  return BiPprWalkBudget(n, options.rmax, epsilon,
+                         1.0 / static_cast<double>(n));
 }
 
 uint64_t HubPprIndex::IndexBytes() const {

@@ -43,6 +43,13 @@ class HubPprIndex {
   BiPprResult Query(NodeId source, NodeId target, double epsilon,
                     Rng& rng) const;
 
+  /// The forward-phase walk budget of one Query at `epsilon` on an
+  /// n-node graph (BiPprWalkBudget at rmax and δ = 1/n).
+  static double WalkBudget(NodeId n, const Options& options, double epsilon);
+  double WalkBudget(double epsilon) const {
+    return WalkBudget(graph_->num_nodes(), options_, epsilon);
+  }
+
   bool IsHub(NodeId v) const { return hub_states_.contains(v); }
   NodeId num_hubs() const { return static_cast<NodeId>(hub_states_.size()); }
   uint64_t IndexBytes() const;

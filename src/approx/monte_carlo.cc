@@ -18,13 +18,16 @@ constexpr uint64_t kWalkBlock = 1 << 12;
 
 }  // namespace
 
+double ChernoffWalkBudget(NodeId n, double epsilon, double mu) {
+  return 2.0 * (2.0 * epsilon / 3.0 + 2.0) * std::log(n) /
+         (epsilon * epsilon * mu);
+}
+
 uint64_t ChernoffWalkCount(NodeId n, double epsilon, double mu) {
   PPR_CHECK(n >= 2);
   PPR_CHECK(epsilon > 0.0);
   PPR_CHECK(mu > 0.0);
-  double w = 2.0 * (2.0 * epsilon / 3.0 + 2.0) * std::log(n) /
-             (epsilon * epsilon * mu);
-  return static_cast<uint64_t>(std::ceil(w));
+  return WalkCount(ChernoffWalkBudget(n, epsilon, mu));
 }
 
 SolveStats MonteCarlo(const Graph& graph, NodeId source,

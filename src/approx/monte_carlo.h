@@ -34,8 +34,13 @@ struct ApproxOptions {
   }
 };
 
-/// Number of walks W required by the Chernoff bound, Equation (12):
-/// W = 2(2ε/3 + 2)·log n / (ε²·μ).
+/// The Chernoff bound of Equation (12) before rounding:
+/// W = 2(2ε/3 + 2)·log n / (ε²·μ). Solvers pass it to CheckWalkBudget
+/// (approx/random_walk.h) before any walk count is taken from it.
+double ChernoffWalkBudget(NodeId n, double epsilon, double mu);
+
+/// Number of walks W required by the Chernoff bound: ceil of
+/// ChernoffWalkBudget, which must pass CheckWalkBudget.
 uint64_t ChernoffWalkCount(NodeId n, double epsilon, double mu);
 
 /// True when MonteCarloInto's parallel path will use the dense

@@ -1,5 +1,8 @@
 #include "approx/random_walk.h"
 
+#include <cmath>
+#include <sstream>
+
 #include "util/logging.h"
 
 namespace ppr {
@@ -23,6 +26,21 @@ WalkOutcome RandomWalk(const Graph& graph, NodeId origin, double alpha,
     ++steps;
   }
   return {current, steps};
+}
+
+Status CheckWalkBudget(double budget) {
+  // NaN fails the comparison.
+  if (budget >= 0.0 && budget <= kMaxWalkCount) return Status::OK();
+  std::ostringstream message;
+  message << "the walk count these parameters need (" << budget
+          << ") exceeds the limit of 2^53 walks; use a larger eps, mu or "
+             "delta";
+  return Status::InvalidArgument(message.str());
+}
+
+uint64_t WalkCount(double budget) {
+  PPR_CHECK(CheckWalkBudget(budget).ok()) << "walk budget " << budget;
+  return static_cast<uint64_t>(std::ceil(budget));
 }
 
 }  // namespace ppr

@@ -1,8 +1,11 @@
 #ifndef PPR_APPROX_RANDOM_WALK_H_
 #define PPR_APPROX_RANDOM_WALK_H_
 
+#include <cstdint>
+
 #include "graph/graph.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace ppr {
 
@@ -28,6 +31,20 @@ WalkOutcome RandomWalk(const Graph& graph, NodeId origin, double alpha,
 inline double ExpectedWalkSteps(double alpha) {
   return (1.0 - alpha) / alpha;
 }
+
+/// Largest walk count any walk-based algorithm runs: 2^53, up to which
+/// every integer is an exact double. Walk budgets are computed in
+/// double, and a tiny but valid ε, μ or δ can push one past anything
+/// runnable, or past uint64_t, where the cast would be undefined.
+inline constexpr double kMaxWalkCount = 9007199254740992.0;  // 2^53
+
+/// InvalidArgument unless `budget` (a real-valued walk count) is in
+/// [0, kMaxWalkCount]. Solvers check budgets derived from user input
+/// with it before WalkCount.
+Status CheckWalkBudget(double budget);
+
+/// ceil(budget) as a count. The budget must pass CheckWalkBudget.
+uint64_t WalkCount(double budget);
 
 }  // namespace ppr
 

@@ -11,7 +11,7 @@
 
 namespace ppr {
 
-void MultiSourceFusedSolve(const Graph& graph,
+uint64_t MultiSourceFusedSolve(const Graph& graph,
                            std::span<const NodeId> sources,
                            std::span<const double> alpha,
                            std::span<const double> threshold,
@@ -34,7 +34,7 @@ void MultiSourceFusedSolve(const Graph& graph,
   const size_t words = static_cast<size_t>(n) * B;
   PPR_CHECK(words <= std::numeric_limits<NodeId>::max());
   PPR_CHECK(reserve.size() == words && residue.size() == words);
-  if (B == 0 || n == 0) return;
+  if (B == 0 || n == 0) return 0;
   for (size_t b = 0; b < B; ++b) {
     PPR_CHECK(sources[b] < n);
     PPR_CHECK(threshold[b] > 0.0);
@@ -211,6 +211,7 @@ void MultiSourceFusedSolve(const Graph& graph,
     }
   };
 
+  uint64_t sweeps = 0;
   while (!active.empty()) {
     if (options.block_cancel != nullptr && options.block_cancel->ShouldStop()) {
       break;
@@ -232,6 +233,7 @@ void MultiSourceFusedSolve(const Graph& graph,
       sweep_rsum[b] = 0.0;
       sweep_pushes[b] = 0;
     }
+    sweeps++;
     if (threads == 1) {
       serial_sweep();
       residue.swap(next);
@@ -266,6 +268,7 @@ void MultiSourceFusedSolve(const Graph& graph,
   // A block-level cancel leaves sources mid-flight; export their
   // partial state so callers observing the token still get columns.
   for (uint32_t b : active) export_column(b, false);
+  return sweeps;
 }
 
 }  // namespace ppr

@@ -87,8 +87,9 @@ struct MultiSourceOutputs {
 /// top_k sized B or empty; cancels sized B or empty; reserve/residue
 /// all-zero length n·B (n·B must fit NodeId); next all-zero length n·B
 /// when threads <= 1 (unused otherwise, may be empty); thread_scratch
-/// non-null when threads > 1.
-void MultiSourceFusedSolve(const Graph& graph,
+/// non-null when threads > 1. Returns the number of CSR sweeps made: one
+/// per sweep of the whole block, however many sources it advances.
+uint64_t MultiSourceFusedSolve(const Graph& graph,
                            std::span<const NodeId> sources,
                            std::span<const double> alpha,
                            std::span<const double> threshold,

@@ -101,6 +101,20 @@ TEST(BatchFusedTest, PowitrFusedMatchesClassicSerial) {
                     spec + " query " + std::to_string(i));
         EXPECT_EQ(results[i].solver, "powitr");
       }
+      // A block sweeps the CSR as often as its slowest source iterates,
+      // and the kernel counts those sweeps, not the per-query ones.
+      uint64_t block_sweeps = 0, query_sweeps = 0;
+      for (size_t first = 0; first < results.size(); first += batch) {
+        uint64_t slowest = 0;
+        for (size_t i = first; i < std::min(first + batch, results.size());
+             ++i) {
+          slowest = std::max(slowest, results[i].stats.iterations);
+          query_sweeps += results[i].stats.iterations;
+        }
+        block_sweeps += slowest;
+      }
+      EXPECT_EQ(context.fused_sweeps(), block_sweeps) << spec;
+      if (batch > 1) EXPECT_LT(context.fused_sweeps(), query_sweeps) << spec;
     }
   }
 }

@@ -1,9 +1,13 @@
 #include "approx/bippr.h"
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "api/context.h"
+#include "api/registry.h"
+#include "approx/random_walk.h"
 #include "test_util.h"
 
 namespace ppr {
@@ -70,6 +74,42 @@ TEST(BiPprTest, SelfPairAtLeastAlpha) {
   Rng rng(9);
   BiPprResult result = BiPpr(g, 6, 6, options, rng);
   EXPECT_GE(result.estimate, 0.2 * 0.8);  // alpha modulo estimator noise
+}
+
+TEST(BiPprTest, WalkCountFollowsTheBudget) {
+  Graph g = testing::SmallGraphZoo()[4].graph;  // complete_10
+  g.BuildInAdjacency();
+  BiPprOptions options;
+  options.epsilon = 0.05;
+  Rng rng(3);
+  const BiPprResult result = BiPpr(g, 0, 1, options, rng);
+  EXPECT_GT(BiPprWalkBudget(g, options), 16.0);
+  EXPECT_EQ(result.walks, WalkCount(BiPprWalkBudget(g, options)));
+}
+
+TEST(BiPprSolverTest, WalkCountsThatDoNotFitAreInvalidArgument) {
+  Graph g = testing::SmallGraphZoo()[4].graph;  // complete_10
+  g.BuildInAdjacency();
+  const SolverRegistry& registry = SolverRegistry::Global();
+  // eps enters squared, delta under the balanced rmax's square root.
+  for (const char* spec : {"bippr:eps=1e-300", "bippr:delta=1e-300"}) {
+    auto solver = registry.Create(spec);
+    ASSERT_TRUE(solver.ok()) << spec;
+    EXPECT_EQ(solver.value()->Prepare(g).code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
+  auto solver = registry.Create("bippr");
+  ASSERT_TRUE(solver.ok());
+  ASSERT_TRUE(solver.value()->Prepare(g).ok());
+  SolverContext context;
+  PprResult result;
+  EXPECT_EQ(solver.value()
+                ->Solve({.source = 0, .target = 1, .epsilon = 1e-300},
+                        context, &result)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      solver.value()->Solve({.source = 0, .target = 1}, context, &result).ok());
 }
 
 }  // namespace

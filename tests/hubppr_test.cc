@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/context.h"
+#include "api/registry.h"
+#include "approx/random_walk.h"
 #include "test_util.h"
 
 namespace ppr {
@@ -98,6 +101,37 @@ TEST(HubPprDeathTest, RequiresInAdjacency) {
   Graph g = CycleGraph(8);
   HubPprIndex::Options options;
   EXPECT_DEATH(HubPprIndex::Build(g, options), "transpose");
+}
+
+TEST(HubPprTest, WalkCountFollowsTheBudget) {
+  Graph g = HubTestGraph();
+  HubPprIndex::Options options;
+  options.num_hubs = 4;
+  HubPprIndex index = HubPprIndex::Build(g, options);
+  Rng rng(9);
+  const BiPprResult result = index.Query(0, 1, 0.02, rng);
+  EXPECT_GT(index.WalkBudget(0.02), 16.0);
+  EXPECT_EQ(result.walks, WalkCount(index.WalkBudget(0.02)));
+}
+
+TEST(HubPprSolverTest, WalkCountsThatDoNotFitAreInvalidArgument) {
+  Graph g = HubTestGraph();
+  const SolverRegistry& registry = SolverRegistry::Global();
+  auto tiny = registry.Create("hubppr:eps=1e-300,hubs=4");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny.value()->Prepare(g).code(), StatusCode::kInvalidArgument);
+  auto solver = registry.Create("hubppr:hubs=4");
+  ASSERT_TRUE(solver.ok());
+  ASSERT_TRUE(solver.value()->Prepare(g).ok());
+  SolverContext context;
+  PprResult result;
+  EXPECT_EQ(solver.value()
+                ->Solve({.source = 0, .target = 1, .epsilon = 1e-300},
+                        context, &result)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      solver.value()->Solve({.source = 0, .target = 1}, context, &result).ok());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // The output-sensitive fwdpush path: the kernel reports its support,
-// the context exports by zero-fill plus scatter, and Solve takes top-k
-// over the support. Each test pins it to the dense path it replaced.
+// the context exports by a reset plus scatter (a zero-fill of n, or only
+// the previous support of a reused result), and Solve takes top-k over
+// the support. Each test pins it to the dense path it replaced or to a
+// solve into a fresh result.
 
 #include <algorithm>
 #include <chrono>
@@ -108,9 +110,9 @@ TEST(LocalSolveTest, FwdPushIsBitIdenticalToTheDenseExport) {
   }
 }
 
-TEST(LocalSolveTest, ReusedResultKeepsNothingFromEarlierQueries) {
-  // Two disjoint components, so consecutive queries have disjoint
-  // supports: every entry the first answer set must read 0 in the second.
+/// Two disjoint ErdosRenyi(150, 3) components, ids [0, 150) and
+/// [150, 300): queries from one component leave the other all zero.
+Graph TwoComponents() {
   Rng rng(5);
   const Graph a = ErdosRenyi(150, 3.0, rng);
   const Graph b = ErdosRenyi(150, 3.0, rng);
@@ -124,17 +126,26 @@ TEST(LocalSolveTest, ReusedResultKeepsNothingFromEarlierQueries) {
   }
   BuildOptions options;
   options.remove_isolated = false;
-  const Graph graph = builder.Build(options);
-  const NodeId n = graph.num_nodes();
-  ASSERT_EQ(n, a.num_nodes() + b.num_nodes());
+  Graph graph = builder.Build(options);
+  EXPECT_EQ(graph.num_nodes(), a.num_nodes() + b.num_nodes());
+  return graph;
+}
 
+/// The answer `solver` gives into a fresh result on a fresh context.
+PprResult FreshAnswer(Solver& solver, const PprQuery& query) {
+  SolverContext context;
+  PprResult result;
+  EXPECT_TRUE(solver.Solve(query, context, &result).ok());
+  return result;
+}
+
+TEST(LocalSolveTest, ReusedResultKeepsNothingFromEarlierQueries) {
+  // Consecutive queries in different components have disjoint supports:
+  // every entry the first answer set must read 0 in the second.
+  const Graph graph = TwoComponents();
+  const NodeId n = graph.num_nodes();
+  const NodeId offset = n / 2;
   auto solver = MakeSolver("fwdpush:rmax=1e-6", graph);
-  auto fresh = [&](const PprQuery& query) {
-    SolverContext context;
-    PprResult result;
-    EXPECT_TRUE(solver->Solve(query, context, &result).ok());
-    return result;
-  };
 
   SolverContext context;
   PprResult result;
@@ -145,12 +156,14 @@ TEST(LocalSolveTest, ReusedResultKeepsNothingFromEarlierQueries) {
 
   const PprQuery in_a{.source = 3, .top_k = kTopK, .want_residues = true};
   ASSERT_TRUE(solver->Solve(in_a, context, &result).ok());
-  const PprResult first = fresh(in_a);
+  const PprResult first = FreshAnswer(*solver, in_a);
   ExpectSameAnswer(result, first, "first query");
+  EXPECT_EQ(context.result_sparse_resets(), 0u);
 
   const PprQuery in_b{.source = offset + 3, .top_k = 3 * n};
   ASSERT_TRUE(solver->Solve(in_b, context, &result).ok());
-  ExpectSameAnswer(result, fresh(in_b), "second query");
+  ExpectSameAnswer(result, FreshAnswer(*solver, in_b), "second query");
+  EXPECT_EQ(context.result_sparse_resets(), 1u);
   EXPECT_TRUE(result.residues.empty());
   EXPECT_GT(std::count_if(first.scores.begin(), first.scores.begin() + offset,
                           [](double x) { return x != 0.0; }),
@@ -161,9 +174,120 @@ TEST(LocalSolveTest, ReusedResultKeepsNothingFromEarlierQueries) {
   EXPECT_EQ(result.top_nodes, TopK(result.scores, 3 * n));
 }
 
+TEST(LocalSolveTest, ReusedResultMatchesAFreshOneAfterEveryKindOfSolve) {
+  // One context and one result through fwdpush, a dense writer, order=
+  // layouts, residues, a cancelled solve and caller edits. After every
+  // step the result is bit-identical to a fresh solve, and the counter
+  // shows which resets took the support path.
+  const Graph graph = TwoComponents();
+  const NodeId n = graph.num_nodes();
+  const NodeId offset = n / 2;
+  auto fwdpush = MakeSolver("fwdpush:rmax=1e-6", graph);
+  auto degree = MakeSolver("fwdpush:rmax=1e-6,order=degree", graph);
+  auto pagerank = MakeSolver("pagerank", graph);
+  const PprQuery in_a{.source = 3, .top_k = kTopK};
+  const PprQuery in_b{.source = offset + 7, .top_k = kTopK};
+  const PprQuery in_a_residues{
+      .source = 11, .top_k = kTopK, .want_residues = true};
+
+  SolverContext context;
+  PprResult result;
+  uint64_t support_resets = 0;
+  auto step = [&](Solver& solver, const PprQuery& query, bool reset_support,
+                  const std::string& where) {
+    ASSERT_TRUE(solver.Solve(query, context, &result).ok()) << where;
+    ExpectSameAnswer(result, FreshAnswer(solver, query), where);
+    if (reset_support) support_resets++;
+    EXPECT_EQ(context.result_sparse_resets(), support_resets) << where;
+  };
+
+  step(*fwdpush, in_a, false, "fresh result: one zero-fill");
+  EXPECT_TRUE(result.support_valid);
+  step(*fwdpush, in_b, true, "other component");
+  step(*fwdpush, in_a_residues, true, "want_residues");
+  EXPECT_EQ(result.residues.size(), n);
+
+  step(*pagerank, in_b, false, "dense writer");
+  EXPECT_FALSE(result.support_valid);
+  step(*fwdpush, in_a, false, "after a dense writer: zero-fill");
+  EXPECT_TRUE(result.support_valid);
+
+  // order=: the previous support still describes the vector, so the
+  // reset takes it; the remapped answer leaves without one.
+  step(*degree, in_b, true, "order=degree");
+  EXPECT_FALSE(result.support_valid);
+  step(*fwdpush, in_a, false, "after order=degree: zero-fill");
+
+  // A solve cancelled before it starts leaves the result untouched, so
+  // the next one may still reset over the support.
+  CancelToken cancelled;
+  cancelled.RequestCancel();
+  context.set_cancel_token(&cancelled);
+  EXPECT_EQ(fwdpush->Solve(in_b, context, &result).code(),
+            StatusCode::kCancelled);
+  context.set_cancel_token(nullptr);
+  EXPECT_TRUE(result.support_valid);
+  step(*fwdpush, in_b, true, "after a cancelled solve");
+
+  // A caller that clears or resizes the scores keeps the flag; the
+  // length check and the bounds check on the support make that safe.
+  result.scores.clear();
+  step(*fwdpush, in_a, false, "scores cleared: zero-fill");
+  result.scores.resize(offset);
+  result.scores.resize(n);
+  step(*fwdpush, in_b, true, "scores shrunk and regrown");
+  result = PprResult{};
+  step(*fwdpush, in_a, false, "result replaced: zero-fill");
+
+  // A caller that writes outside the support clears the flag first.
+  result.support_valid = false;
+  result.scores[offset + 1] = 5.0;
+  step(*fwdpush, in_a, false, "caller cleared the flag: zero-fill");
+}
+
+TEST(LocalSolveTest, SupportIdsBeyondAShrunkResultAreSkipped) {
+  // A result whose support came from a larger graph, cut by the caller
+  // to the next graph's size: ids past the new n must not be written.
+  const Graph graph = TwoComponents();
+  const NodeId half = graph.num_nodes() / 2;
+  Rng rng(5);
+  const Graph first_component = ErdosRenyi(half, 3.0, rng);
+  auto whole = MakeSolver("fwdpush:rmax=1e-6", graph);
+  auto part = MakeSolver("fwdpush:rmax=1e-6", first_component);
+  SolverContext context;
+  PprResult result;
+  ASSERT_TRUE(whole->Solve({.source = half + 2}, context, &result).ok());
+  ASSERT_TRUE(result.support_valid);
+  ASSERT_GT(*std::min_element(result.support.begin(), result.support.end()),
+            half - 1);
+  result.scores.resize(half);
+  result.scores.shrink_to_fit();  // a write past half leaves the buffer
+  const PprQuery query{.source = 2, .top_k = kTopK};
+  ASSERT_TRUE(part->Solve(query, context, &result).ok());
+  EXPECT_EQ(context.result_sparse_resets(), 1u);
+  ExpectSameAnswer(result, FreshAnswer(*part, query), "shrunk result");
+}
+
+TEST(LocalSolveTest, ReuseGuardCatchesAScoreWrittenOutsideTheSupport) {
+  // Debug builds check a reused result before trusting its support;
+  // release builds skip the O(n) check and keep the stale entry.
+  const Graph graph = TwoComponents();
+  auto solver = MakeSolver("fwdpush:rmax=1e-6", graph);
+  SolverContext context;
+  PprResult result;
+  ASSERT_TRUE(solver->Solve({.source = 3}, context, &result).ok());
+  result.scores[graph.num_nodes() - 1] = 1.0;
+  EXPECT_DEBUG_DEATH(
+      {
+        const Status status = solver->Solve({.source = 3}, context, &result);
+        EXPECT_TRUE(status.ok());
+      },
+      "outside its support");
+}
+
 TEST(LocalSolveTest, SupportNeverOutlivesTheSolveThatExportedIt) {
-  // pagerank fills its scores without the context's export, so a support
-  // left from the fwdpush query before it must not steer its top-k.
+  // pagerank fills its scores without the context's export, so the
+  // support a fwdpush query left on the result must not steer its top-k.
   const Graph graph = testing::SmallGraphZoo()[8].graph;  // chunglu_150
   auto fwdpush = MakeSolver("fwdpush:rmax=0.01", graph);
   auto pagerank = MakeSolver("pagerank", graph);
@@ -171,10 +295,10 @@ TEST(LocalSolveTest, SupportNeverOutlivesTheSolveThatExportedIt) {
   PprResult result;
   const PprQuery query{.source = 4, .top_k = 40};
   ASSERT_TRUE(fwdpush->Solve(query, context, &result).ok());
-  ASSERT_NE(context.exported_support(), nullptr);
-  ASSERT_LT(context.exported_support()->size(), graph.num_nodes() / 2);
+  ASSERT_TRUE(result.support_valid);
+  ASSERT_LT(result.support.size(), graph.num_nodes() / 2);
   ASSERT_TRUE(pagerank->Solve(query, context, &result).ok());
-  EXPECT_EQ(context.exported_support(), nullptr);
+  EXPECT_FALSE(result.support_valid);
   EXPECT_EQ(result.top_nodes, TopK(result.scores, query.top_k));
 }
 
@@ -209,6 +333,8 @@ TEST(LocalSolveTest, CancelledSolveLeavesTheContextCorrect) {
     stopped_mid_solve = status.code() == StatusCode::kDeadlineExceeded &&
                         pushes > 0 &&
                         pushes < uncancelled.stats.push_operations;
+    // A solve that failed after its kernel ran leaves no support.
+    if (!status.ok() && pushes > 0) EXPECT_FALSE(result.support_valid);
     context.set_cancel_token(nullptr);
     ASSERT_TRUE(solver->Solve(next_query, context, &result).ok());
     ExpectSameAnswer(result, expected,

@@ -1,9 +1,13 @@
 #include "approx/monte_carlo.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "api/context.h"
+#include "api/registry.h"
+#include "approx/random_walk.h"
 #include "eval/metrics.h"
 #include "test_util.h"
 
@@ -94,6 +98,46 @@ TEST(MonteCarloTest, TighterEpsilonImprovesAccuracyOnAverage) {
     tight_err += L1Distance(e, exact);
   }
   EXPECT_LT(tight_err, loose_err);
+}
+
+TEST(ChernoffWalkCountTest, BudgetsBeyondTwoToTheFiftyThreeAreRejected) {
+  EXPECT_TRUE(CheckWalkBudget(0.0).ok());
+  EXPECT_TRUE(CheckWalkBudget(kMaxWalkCount).ok());
+  EXPECT_EQ(WalkCount(kMaxWalkCount), uint64_t{1} << 53);
+  for (double budget : {kMaxWalkCount * 2.0, 1e300, -1.0,
+                        std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(CheckWalkBudget(budget).code(), StatusCode::kInvalidArgument)
+        << budget;
+  }
+  // A valid but tiny mu makes W overflow uint64_t; the count is a
+  // checked failure, never an undefined cast.
+  EXPECT_FALSE(CheckWalkBudget(ChernoffWalkBudget(50, 0.5, 1e-300)).ok());
+  EXPECT_DEATH(ChernoffWalkCount(50, 0.5, 1e-300), "walk budget");
+}
+
+TEST(MonteCarloSolverTest, WalkCountsThatDoNotFitAreInvalidArgument) {
+  const Graph graph = CycleGraph(50);
+  const SolverRegistry& registry = SolverRegistry::Global();
+  for (const char* spec : {"mc:mu=1e-300", "mc:eps=1e-300"}) {
+    auto solver = registry.Create(spec);
+    ASSERT_TRUE(solver.ok()) << spec;
+    EXPECT_EQ(solver.value()->Prepare(graph).code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
+  auto solver = registry.Create("mc");
+  ASSERT_TRUE(solver.ok());
+  ASSERT_TRUE(solver.value()->Prepare(graph).ok());
+  SolverContext context;
+  PprResult result;
+  EXPECT_EQ(solver.value()->Solve({.mu = 1e-300}, context, &result).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      solver.value()->Solve({.epsilon = 1e-300}, context, &result).code(),
+      StatusCode::kInvalidArgument);
+  ASSERT_TRUE(solver.value()->Solve({.mu = 0.02}, context, &result).ok());
+  EXPECT_EQ(result.stats.random_walks, ChernoffWalkCount(50, 0.5, 0.02));
 }
 
 }  // namespace
