@@ -2,16 +2,17 @@
 //
 //   1. the shared Monte-Carlo walk phase (ResidueWalkPhase) on a
 //      SpeedPPR-shaped residue fixture,
-//   2. the PowItr dense iteration kernel,
-//   3. registry end-to-end time per query for speedppr/powitr at each
-//      threads= setting,
-//   4. the order= CSR layouts (none/degree/bfs) for powerpush and
+//   2. registry end-to-end time per query for speedppr at each threads=
+//      setting,
+//   3. the order= CSR layouts (none/degree/bfs) for powerpush and
 //      speedppr.
 //
 // Expected shape: near-linear walk-phase scaling (independent per-node
-// streams, balanced chunks) and >=2x PowItr at 4 threads on >=4 cores;
-// degree/BFS layouts help on hub-heavy graphs. Emits BENCH_scaling.json
-// (PPR_BENCH_JSON_DIR) to seed the perf trajectory.
+// streams, balanced chunks); speedppr scales only by its walk phase,
+// since its PowerPush and refinement stages are serial at every
+// threads= setting (as are all dense kernels, so they are not swept
+// here); degree/BFS layouts help on hub-heavy graphs. Emits
+// BENCH_scaling.json (PPR_BENCH_JSON_DIR) to seed the perf trajectory.
 //
 // Workload: one generated Barabasi-Albert graph, ~1M edges at the
 // default scale (PPR_BENCH_SCALE multiplies the node count).
@@ -29,7 +30,6 @@
 #include "approx/residue_walks.h"
 #include "bench_common.h"
 #include "core/forward_push.h"
-#include "core/power_iteration.h"
 #include "core/power_push.h"
 #include "eval/experiment.h"
 #include "eval/query_gen.h"
@@ -44,10 +44,10 @@
 int main() {
   using namespace ppr;
   bench::PrintHeader(
-      "Thread scaling: walk phase, PowItr kernel, order= layouts",
+      "Thread scaling: walk phase, speedppr, order= layouts",
       "Generated BA graph (~1M edges at scale 1). threads=1 is the\n"
-      "serial baseline; the walk phase is bit-identical across thread\n"
-      "counts, the dense kernels to ~1e-12.");
+      "serial baseline; every result is bit-identical across thread\n"
+      "counts.");
 
   const NodeId nodes = static_cast<NodeId>(125000 * BenchScaleFromEnv());
   Rng graph_rng(7);
@@ -110,63 +110,33 @@ int main() {
   }
   std::printf("%s\n", walk_table.ToString().c_str());
 
-  // ---- 2. PowItr dense kernel. ---------------------------------------
-  TablePrinter powitr_table({"threads", "PowItr (s)", "speedup", "iters"});
-  double powitr_serial = 0.0;
-  for (unsigned threads : thread_counts) {
-    PowerIterationOptions options;
-    options.alpha = alpha;
-    options.lambda = 1e-8;
-    options.threads = threads;
-    PprEstimate estimate;
-    Timer timer;
-    SolveStats stats = PowerIteration(graph, source, options, &estimate);
-    const double seconds = timer.ElapsedSeconds();
-    if (threads == 1) powitr_serial = seconds;
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx", powitr_serial / seconds);
-    powitr_table.AddRow({std::to_string(threads), HumanSeconds(seconds),
-                         speedup, std::to_string(stats.iterations)});
-    json.Add()
-        .Str("section", "powitr_kernel")
-        .Int("threads", threads)
-        .Num("seconds", seconds)
-        .Num("speedup", powitr_serial / seconds)
-        .Int("iterations", stats.iterations);
-  }
-  std::printf("%s\n", powitr_table.ToString().c_str());
-
-  // ---- 3. Registry end-to-end time per query. ------------------------
+  // ---- 2. Registry end-to-end time per query. ------------------------
   const auto sources = SampleQuerySources(graph, BenchQueryCount(2), 3);
   TablePrinter e2e_table({"solver spec", "time/query (s)", "speedup"});
-  for (const char* base_spec : {"speedppr:eps=0.5", "powitr"}) {
-    double serial = 0.0;
-    for (unsigned threads : thread_counts) {
-      const std::string spec =
-          std::string(base_spec) +
-          (std::string(base_spec).find(':') == std::string::npos ? ":" : ",") +
-          "threads=" + std::to_string(threads);
-      auto created = SolverRegistry::Global().Create(spec);
-      PPR_CHECK(created.ok()) << created.status().ToString();
-      std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
-      PPR_CHECK(solver->Prepare(graph).ok());
-      SolverContext context;
-      const double mean = Mean(TimePerQuery(*solver, context, sources));
-      if (threads == 1) serial = mean;
-      char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2fx", serial / mean);
-      e2e_table.AddRow({spec, HumanSeconds(mean), speedup});
-      json.Add()
-          .Str("section", "end_to_end")
-          .Str("spec", spec)
-          .Int("threads", threads)
-          .Num("seconds", mean)
-          .Num("speedup", serial / mean);
-    }
+  double e2e_serial = 0.0;
+  for (unsigned threads : thread_counts) {
+    const std::string spec =
+        "speedppr:eps=0.5,threads=" + std::to_string(threads);
+    auto created = SolverRegistry::Global().Create(spec);
+    PPR_CHECK(created.ok()) << created.status().ToString();
+    std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
+    PPR_CHECK(solver->Prepare(graph).ok());
+    SolverContext context;
+    const double mean = Mean(TimePerQuery(*solver, context, sources));
+    if (threads == 1) e2e_serial = mean;
+    char speedup[32];
+    std::snprintf(speedup, sizeof(speedup), "%.2fx", e2e_serial / mean);
+    e2e_table.AddRow({spec, HumanSeconds(mean), speedup});
+    json.Add()
+        .Str("section", "end_to_end")
+        .Str("spec", spec)
+        .Int("threads", threads)
+        .Num("seconds", mean)
+        .Num("speedup", e2e_serial / mean);
   }
   std::printf("%s\n", e2e_table.ToString().c_str());
 
-  // ---- 4. order= storage layouts. ------------------------------------
+  // ---- 3. order= storage layouts. ------------------------------------
   TablePrinter layout_table({"solver", "order", "time/query (s)", "vs none"});
   for (const char* solver_name : {"powerpush", "speedppr"}) {
     double baseline = 0.0;

@@ -48,7 +48,8 @@ done
 # (DynamicResizeTest), whose node add/remove batches grow and shrink
 # tracker and walk-index dimensions under the same epoch machinery, and
 # the fused multi-source tier (BatchFusedTest / BatchForaTest /
-# BatchTopKEarlyTest for the threaded kernel, BatchQueueTest /
+# BatchTopKEarlyTest for the fused kernel and FORA's pooled walk
+# phase, BatchQueueTest /
 # PprServerBatchTest for queue coalescing), which races multi-threaded
 # SolveMany blocks and worker-side batch draining against the queue and
 # epoch barrier.

@@ -71,11 +71,10 @@ class SolverContext {
   /// when n changes).
   FifoQueue* AcquireQueue(NodeId n);
 
-  /// Returns `count` all-zero dense buffers of size n for the parallel
-  /// kernels' per-thread reductions (threads= option). The kernels
-  /// return them zeroed (their merge passes re-zero what the scatter
-  /// touched), so a warm context pays the O(n·count) initialization only
-  /// on first use or shape change.
+  /// Returns `count` all-zero dense buffers of size n for MonteCarlo's
+  /// per-worker stop counts (mc, and speedppr's W <= m fallback). The
+  /// merge returns them zeroed, so a warm context pays the O(n·count)
+  /// initialization only on first use or shape change.
   ThreadDenseBuffers* AcquireThreadBuffers(unsigned count, NodeId n);
 
   /// Returns an all-zero length-`size` buffer backing the fused batch

@@ -134,10 +134,10 @@ class Solver {
 
   // ---- cross-cutting options (set by the registry factories) ----------
 
-  /// Worker threads for the solver's parallel stages; 0 defers to
-  /// ParallelThreadCount() for the thread-count-invariant stages (walk
-  /// phases, single-pair materialization) and keeps the order-sensitive
-  /// dense kernels serial (see docs/api.md, "Parallelism & determinism").
+  /// Worker threads for the solver's parallel stages (walk phases,
+  /// single-pair materialization), all thread-count-invariant; 0 defers
+  /// to ParallelThreadCount(). The dense kernels are serial at every
+  /// setting (see docs/api.md, "Parallelism & determinism").
   void set_threads(unsigned threads) { threads_ = threads; }
   unsigned threads() const { return threads_; }
 
@@ -153,8 +153,7 @@ class Solver {
 
   /// threads= as the auto-parallelizing stages resolve it: the explicit
   /// count, else ParallelThreadCount(). Adapters use this instead of
-  /// re-deriving it so the asymmetric policy — walk phases auto-scale,
-  /// dense kernels stay serial at 0 — lives in one place.
+  /// re-deriving it so the policy lives in one place.
   unsigned ResolvedWorkers() const;
 
   /// Original id → layout id under an order= layout; empty for kNone.

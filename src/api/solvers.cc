@@ -56,10 +56,12 @@ namespace ppr {
 namespace {
 
 /// The cross-cutting options every registered solver accepts. threads=
-/// selects the worker count for the solver's parallel stages (0 = defer
-/// to PPR_THREADS/hardware for the thread-count-invariant stages, serial
-/// for the order-sensitive dense kernels); order= selects the Prepare-
-/// time CSR layout. Factories Read() before Finish() and Apply() after
+/// selects the worker count for the solver's parallel stages — walk
+/// phases and the single-pair column fan-out (0 = defer to
+/// PPR_THREADS/hardware). Those stages give the same bits at every
+/// count and the dense kernels run one serial sweep at any setting, so
+/// no solver's output depends on it. order= selects the Prepare-time
+/// CSR layout. Factories Read() before Finish() and Apply() after
 /// construction.
 struct CommonOptions {
   uint64_t threads = 0;
@@ -128,13 +130,9 @@ void RunFusedBlock(const Graph& graph, SolverContext& context,
   const NodeId n = graph.num_nodes();
   const size_t B = queries.size();
   const size_t words = static_cast<size_t>(n) * B;
-  const unsigned threads = options.threads <= 1 ? 1 : options.threads;
   std::vector<double>* reserve = context.AcquireBlockScratch(0, words);
   std::vector<double>* residue = context.AcquireBlockScratch(1, words);
-  // The sweep double-buffer only exists on the serial path; the
-  // parallel path rebuilds `residue` in place through ScatterMergeStep.
-  std::vector<double>* next =
-      context.AcquireBlockScratch(2, threads > 1 ? 0 : words);
+  std::vector<double>* next = context.AcquireBlockScratch(2, words);
   std::vector<double*> score_ptrs(B);
   std::vector<double*> residue_ptrs(B, nullptr);
   std::vector<SolveStats> stats(B);
@@ -156,11 +154,7 @@ void RunFusedBlock(const Graph& graph, SolverContext& context,
   out.stats = stats;
   context.CountFusedSweeps(MultiSourceFusedSolve(
       graph, sources, alpha, threshold, top_k, cancels, options, *reserve,
-      *residue, *next,
-      threads > 1
-          ? context.AcquireThreadBuffers(threads, static_cast<NodeId>(words))
-          : nullptr,
-      out));
+      *residue, *next, out));
   for (size_t b = 0; b < B; ++b) results[b].stats = stats[b];
 }
 
@@ -280,7 +274,6 @@ class ForwardPushSolver : public BatchSolver {
     MultiSourceOptions options;
     options.push_mode = true;
     options.topk_early = topk_early_;
-    options.threads = threads();
     RunFusedBlock(*graph_, context, queries, cancels, options, sources, alpha,
                   threshold, top_k, results, nullptr);
     return Status::OK();
@@ -353,13 +346,9 @@ class PowerPushSolver : public Solver {
     options.use_queue_phase = queue_phase_;
     options.scan_threshold_fraction = scan_threshold_;
     options.assume_initialized = true;
-    options.threads = threads();
     options.cancel = context.cancel_token();
     result->stats = PowerPush(*graph_, query.source, options, estimate,
-                              context.trace(), context.AcquireQueue(n),
-                              threads() > 1
-                                  ? context.AcquireThreadBuffers(threads(), n)
-                                  : nullptr);
+                              context.trace(), context.AcquireQueue(n));
     context.ExportEstimate(query.want_residues, result);
     return Status::OK();
   }
@@ -383,8 +372,8 @@ class PowerPushSolver : public Solver {
 /// batch= > 0 routes every solve — fused blocks and B=1 alike —
 /// through the multi-source kernel, whose power mode replicates this
 /// solver's per-column operation sequence exactly: fused results match
-/// classic serial powitr bit-for-bit at threads<=1 and to the usual
-/// ~1e-12 scatter/merge reassociation at threads>1.
+/// classic powitr bit-for-bit. Both kernels run one serial sweep per
+/// iteration, so threads= leaves every bit unchanged.
 class PowerIterationSolver : public BatchSolver {
  public:
   PowerIterationSolver(ParamDefaults params, size_t batch, bool topk_early)
@@ -431,14 +420,9 @@ class PowerIterationSolver : public BatchSolver {
     options.alpha = params_.Alpha(query);
     options.lambda = params_.Lambda(query);
     options.assume_initialized = true;
-    options.threads = threads();
     options.cancel = context.cancel_token();
     result->stats = PowerIteration(*graph_, query.source, options, estimate,
-                                   context.trace(),
-                                   threads() > 1
-                                       ? context.AcquireThreadBuffers(
-                                             threads(), n)
-                                       : nullptr);
+                                   context.trace());
     context.ExportEstimate(query.want_residues, result);
     return Status::OK();
   }
@@ -462,7 +446,6 @@ class PowerIterationSolver : public BatchSolver {
     MultiSourceOptions options;
     options.push_mode = false;
     options.topk_early = topk_early_;
-    options.threads = threads();
     RunFusedBlock(*graph_, context, queries, cancels, options, sources, alpha,
                   threshold, top_k, results, nullptr);
     return Status::OK();
@@ -497,12 +480,8 @@ class PageRankSolver : public Solver {
     PageRankOptions options;
     options.alpha = params_.Alpha(query);
     options.lambda = params_.Lambda(query);
-    options.threads = threads();
-    result->scores =
-        PageRank(*graph_, options, &result->stats,
-                 threads() > 1 ? context.AcquireThreadBuffers(
-                                     threads(), graph_->num_nodes())
-                               : nullptr);
+    options.cancel = context.cancel_token();
+    result->scores = PageRank(*graph_, options, &result->stats);
     return Status::OK();
   }
 
@@ -825,9 +804,8 @@ class TwoPhaseSolver : public BatchSolver {
   /// scan kernel at each source's own rmax, then every source runs its
   /// own seeded walk phase. The scan replaces FIFO push for the whole
   /// spec (B=1 included) so fused and per-query solves of the same
-  /// spec+seed are bit-identical; the scan always runs serially — a
-  /// parallel merge's 1e-15 reassociation would flip ceil(|r|·W) walk
-  /// counts — while the thread-count-invariant walk phases scale.
+  /// spec+seed are bit-identical; the scan is serial and the walk
+  /// phases are thread-count-invariant, so threads= changes no bit.
   TwoPhaseSolver(Kind kind, ParamDefaults params, bool indexed,
                  double index_eps, uint64_t index_seed, std::string cache_dir,
                  size_t batch)
@@ -960,17 +938,16 @@ class TwoPhaseSolver : public BatchSolver {
     PprEstimate* estimate = context.AcquireEstimate(n, query.source);
     std::vector<double>* scores = context.AcquireScores(n);
     if (kind_ == Kind::kSpeedPpr) {
-      // Lend scratch only to the stages that will read it: the PowerPush
-      // scan under an explicit threads=N, or the W <= m MonteCarlo
-      // fallback (which auto-parallelizes under threads=0). Acquiring
-      // unconditionally would pin O(n·workers) buffers that the common
-      // W > m, threads=0 path never touches.
+      // Lend scratch only to the W <= m MonteCarlo fallback's dense
+      // counts, the one stage that reads it. Acquiring unconditionally
+      // would pin O(n·workers) buffers that the common W > m path never
+      // touches.
       const unsigned workers = ResolvedWorkers();
       const bool mc_fallback_wants_scratch =
           SpeedPprUsesMonteCarloFallback(*graph_, options) &&
           MonteCarloUsesDenseCounts(n, options);
       ThreadDenseBuffers* scratch =
-          workers > 1 && (threads() > 1 || mc_fallback_wants_scratch)
+          workers > 1 && mc_fallback_wants_scratch
               ? context.AcquireThreadBuffers(workers, n)
               : nullptr;
       result->stats =
@@ -1050,10 +1027,6 @@ class TwoPhaseSolver : public BatchSolver {
     std::vector<std::vector<double>> residue_store(num_live);
     MultiSourceOptions options;
     options.push_mode = true;
-    // Serial scan only (see the class comment): a parallel merge's
-    // 1e-15 reassociation would flip ceil(|r|·W) walk counts and break
-    // the bit-identical fused == serial contract.
-    options.threads = 1;
     RunFusedBlock(*graph_, context, sub_queries, sub_cancels, options, sources,
                   alpha, threshold, /*top_k=*/{}, sub_results, &residue_store);
 

@@ -37,10 +37,9 @@ SolveStats SpeedPprInto(const Graph& graph, NodeId source,
   push_options.lambda =
       static_cast<double>(graph.num_edges()) / static_cast<double>(w);
   push_options.assume_initialized = true;
-  push_options.threads = options.threads;
   push_options.cancel = options.cancel;
   SolveStats push_stats = PowerPush(graph, source, push_options, estimate,
-                                    /*trace=*/nullptr, queue, thread_scratch);
+                                    /*trace=*/nullptr, queue);
   stats.push_operations = push_stats.push_operations;
   stats.edge_pushes = push_stats.edge_pushes;
 

@@ -53,8 +53,8 @@ inline bool SpeedPprUsesMonteCarloFallback(const Graph& graph,
 /// supply sparsely-reset buffers. `queue` optionally provides the push
 /// loops' scratch FIFO. In the W ≤ m regime the walk phase runs as
 /// plain MonteCarlo and `estimate` is left untouched.
-/// `thread_scratch` optionally lends the PowerPush stage's per-thread
-/// buffers when options.threads > 1 (see ThreadDenseBuffers).
+/// `thread_scratch` optionally lends the MonteCarlo fallback's
+/// per-worker counts (see MonteCarloInto); the push stages are serial.
 SolveStats SpeedPprInto(const Graph& graph, NodeId source,
                         const ApproxOptions& options, Rng& rng,
                         PprEstimate* estimate, std::vector<double>* out,

@@ -4,9 +4,7 @@
 #include <functional>
 #include <limits>
 
-#include "core/scatter_merge.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace ppr {
@@ -21,7 +19,6 @@ uint64_t MultiSourceFusedSolve(const Graph& graph,
                            std::vector<double>& reserve,
                            std::vector<double>& residue,
                            std::vector<double>& next,
-                           ThreadDenseBuffers* thread_scratch,
                            const MultiSourceOutputs& out) {
   const NodeId n = graph.num_nodes();
   const size_t B = sources.size();
@@ -41,10 +38,8 @@ uint64_t MultiSourceFusedSolve(const Graph& graph,
     PPR_CHECK(alpha[b] > 0.0 && alpha[b] < 1.0);
   }
 
+  PPR_CHECK(next.size() == words);
   const bool push_mode = options.push_mode;
-  const unsigned threads = options.threads <= 1 ? 1 : options.threads;
-  PPR_CHECK(threads == 1 || thread_scratch != nullptr);
-  PPR_CHECK(threads > 1 || next.size() == words);
   Timer timer;
 
   // Seed e_{source_b} into every column.
@@ -108,7 +103,7 @@ uint64_t MultiSourceFusedSolve(const Graph& graph,
 
   const size_t deg_b = B;  // column stride, hoisted for the hot loops
 
-  auto serial_sweep = [&]() {
+  auto sweep = [&]() {
     for (NodeId v = 0; v < n; ++v) {
       const size_t row = static_cast<size_t>(v) * deg_b;
       const NodeId d = graph.OutDegree(v);
@@ -140,77 +135,6 @@ uint64_t MultiSourceFusedSolve(const Graph& graph,
     }
   };
 
-  // Parallel sweep state: CSR row bounds scaled into element space so
-  // one chunk owns whole rows of the block matrix, plus per-chunk
-  // per-source counters folded in ascending chunk order (the same
-  // deterministic grouping as ParallelPowerStep).
-  std::vector<uint64_t> elem_bounds;
-  std::vector<double> chunk_rsum;
-  std::vector<uint64_t> chunk_pushes;
-  std::vector<uint64_t> chunk_edges;
-  if (threads > 1) {
-    const auto& offsets = graph.out_offsets();
-    elem_bounds = BalancedChunkBounds(
-        n, threads,
-        [&](uint64_t v) { return offsets[v + 1] - offsets[v] + 1; });
-    for (uint64_t& bound : elem_bounds) bound *= B;
-    EnsureThreadBuffers(thread_scratch, threads, static_cast<NodeId>(words));
-    chunk_rsum.assign(static_cast<size_t>(threads) * B, 0.0);
-    chunk_pushes.assign(static_cast<size_t>(threads) * B, 0);
-    chunk_edges.assign(static_cast<size_t>(threads) * B, 0);
-  }
-
-  auto parallel_sweep = [&]() {
-    ScatterMergeStep(
-        static_cast<NodeId>(words), elem_bounds, threads, *thread_scratch,
-        [&](unsigned c, uint64_t elem_begin, uint64_t elem_end,
-            std::vector<double>& delta) {
-          const size_t base = static_cast<size_t>(c) * deg_b;
-          for (uint64_t e = elem_begin; e < elem_end; e += deg_b) {
-            const NodeId v = static_cast<NodeId>(e / deg_b);
-            const size_t row = static_cast<size_t>(e);
-            const NodeId d = graph.OutDegree(v);
-            const double deff = static_cast<double>(d == 0 ? 1 : d);
-            for (uint32_t b : active) {
-              const double r = residue[row + b];
-              if (r == 0.0) continue;
-              if (push_mode && !(r > deff * threshold[b])) {
-                delta[row + b] += r;
-                chunk_rsum[base + b] += r;
-                continue;
-              }
-              reserve[row + b] += alpha[b] * r;
-              const double push = (1.0 - alpha[b]) * r;
-              if (d == 0) {
-                delta[static_cast<size_t>(sources[b]) * deg_b + b] += push;
-                chunk_edges[base + b] += 1;
-              } else {
-                const double inc = push / static_cast<double>(d);
-                for (NodeId u : graph.OutNeighbors(v)) {
-                  delta[static_cast<size_t>(u) * deg_b + b] += inc;
-                }
-                chunk_edges[base + b] += d;
-              }
-              chunk_rsum[base + b] += push;
-              chunk_pushes[base + b]++;
-            }
-          }
-        },
-        residue, /*accumulate=*/false);
-    for (unsigned c = 0; c < threads; ++c) {
-      const size_t base = static_cast<size_t>(c) * deg_b;
-      for (uint32_t b : active) {
-        sweep_rsum[b] += chunk_rsum[base + b];
-        sweep_pushes[b] += chunk_pushes[base + b];
-        out.stats[b].push_operations += chunk_pushes[base + b];
-        out.stats[b].edge_pushes += chunk_edges[base + b];
-        chunk_rsum[base + b] = 0.0;
-        chunk_pushes[base + b] = 0;
-        chunk_edges[base + b] = 0;
-      }
-    }
-  };
-
   uint64_t sweeps = 0;
   while (!active.empty()) {
     if (options.block_cancel != nullptr && options.block_cancel->ShouldStop()) {
@@ -234,13 +158,9 @@ uint64_t MultiSourceFusedSolve(const Graph& graph,
       sweep_pushes[b] = 0;
     }
     sweeps++;
-    if (threads == 1) {
-      serial_sweep();
-      residue.swap(next);
-      std::fill(next.begin(), next.end(), 0.0);
-    } else {
-      parallel_sweep();
-    }
+    sweep();
+    residue.swap(next);
+    std::fill(next.begin(), next.end(), 0.0);
     for (uint32_t b : active) {
       rsum[b] = sweep_rsum[b];
       out.stats[b].iterations++;

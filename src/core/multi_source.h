@@ -23,9 +23,6 @@ struct MultiSourceOptions {
   /// Honor per-source top_k[] gap retirement (see MultiSourceFusedSolve).
   bool topk_early = false;
   uint64_t max_iterations = 100000;
-  /// <= 1 runs the sweep serially; > 1 partitions CSR rows across
-  /// `threads` chunks and merges deterministically via ScatterMergeStep.
-  unsigned threads = 0;
   /// Whole-block cancellation, polled once per sweep. A stop retires
   /// every remaining source with its partial state (callers detect the
   /// interruption through the token, exactly like the serial kernels).
@@ -67,12 +64,6 @@ struct MultiSourceOutputs {
 ///    but a fixed sweep order shared by every batch width so fused and
 ///    per-source runs of the *same scan discipline* match bit-for-bit.
 ///
-/// threads > 1 reuses scatter_merge.h over the flat block target with
-/// row bounds scaled into element space; per-chunk per-source counters
-/// merge in ascending chunk order, giving the same grouping as the
-/// serial parallel kernels (equal to serial up to ~1e-12 FP
-/// reassociation, deterministic for a fixed thread count).
-///
 /// Top-k early retirement (options.topk_early, top_k[b] > 0): at a
 /// sweep boundary, source b retires early when the gap between its
 /// k-th and (k+1)-th largest reserve exceeds its remaining residue sum
@@ -85,10 +76,9 @@ struct MultiSourceOutputs {
 ///
 /// Preconditions: sources/alpha/threshold sized B with threshold > 0;
 /// top_k sized B or empty; cancels sized B or empty; reserve/residue
-/// all-zero length n·B (n·B must fit NodeId); next all-zero length n·B
-/// when threads <= 1 (unused otherwise, may be empty); thread_scratch
-/// non-null when threads > 1. Returns the number of CSR sweeps made: one
-/// per sweep of the whole block, however many sources it advances.
+/// all-zero length n·B (n·B must fit NodeId); next all-zero length n·B.
+/// Returns the number of CSR sweeps made: one per sweep of the whole
+/// block, however many sources it advances.
 uint64_t MultiSourceFusedSolve(const Graph& graph,
                            std::span<const NodeId> sources,
                            std::span<const double> alpha,
@@ -99,7 +89,6 @@ uint64_t MultiSourceFusedSolve(const Graph& graph,
                            std::vector<double>& reserve,
                            std::vector<double>& residue,
                            std::vector<double>& next,
-                           ThreadDenseBuffers* thread_scratch,
                            const MultiSourceOutputs& out);
 
 }  // namespace ppr

@@ -1,21 +1,19 @@
 #include "core/pagerank.h"
 
-#include "core/scatter_merge.h"
-#include "util/parallel.h"
+#include <algorithm>
+
 #include "util/timer.h"
 
 namespace ppr {
 
 std::vector<double> PageRank(const Graph& graph,
                              const PageRankOptions& options,
-                             SolveStats* stats_out,
-                             ThreadDenseBuffers* thread_scratch) {
+                             SolveStats* stats_out) {
   const NodeId n = graph.num_nodes();
   PPR_CHECK(n > 0);
   PPR_CHECK(options.alpha > 0.0 && options.alpha < 1.0);
   PPR_CHECK(options.lambda > 0.0);
   const double alpha = options.alpha;
-  const unsigned threads = options.threads <= 1 ? 1 : options.threads;
   Timer timer;
 
   std::vector<double> rank(n, 0.0);
@@ -24,93 +22,35 @@ std::vector<double> PageRank(const Graph& graph,
   SolveStats stats;
   double rsum = 1.0;
 
-  if (threads > 1) {
-    const auto& offsets = graph.out_offsets();
-    const std::vector<uint64_t> row_bounds = BalancedChunkBounds(
-        n, threads,
-        [&](uint64_t v) { return offsets[v + 1] - offsets[v] + 1; });
-    ThreadDenseBuffers local;
-    ThreadDenseBuffers& deltas =
-        thread_scratch != nullptr ? *thread_scratch : local;
-    EnsureThreadBuffers(&deltas, threads, n);
-    std::vector<double> chunk_dangling(threads, 0.0);
-    std::vector<uint64_t> chunk_pushes(threads, 0);
-    std::vector<uint64_t> chunk_edges(threads, 0);
-    while (rsum > options.lambda &&
-           stats.iterations < options.max_iterations) {
-      ScatterMergeStep(
-          n, row_bounds, threads, deltas,
-          [&](unsigned c, uint64_t row_begin, uint64_t row_end,
-              std::vector<double>& delta) {
-            double dangling = 0.0;
-            for (uint64_t v = row_begin; v < row_end; ++v) {
-              const double g = gamma[v];
-              if (g == 0.0) continue;
-              rank[v] += alpha * g;
-              const double push = (1.0 - alpha) * g;
-              const NodeId d = graph.OutDegree(static_cast<NodeId>(v));
-              if (d == 0) {
-                dangling += push;
-                chunk_edges[c] += 1;
-              } else {
-                const double inc = push / d;
-                for (NodeId u : graph.OutNeighbors(static_cast<NodeId>(v))) {
-                  delta[u] += inc;
-                }
-                chunk_edges[c] += d;
-              }
-              chunk_pushes[c]++;
-            }
-            chunk_dangling[c] = dangling;
-          },
-          gamma, /*accumulate=*/false,
-          // Between scatter and merge: fold the per-chunk dangling mass
-          // into the uniform share every merged entry receives.
-          [&] {
-            double dangling = 0.0;
-            for (unsigned w = 0; w < threads; ++w) {
-              dangling += chunk_dangling[w];
-              chunk_dangling[w] = 0.0;
-              stats.push_operations += chunk_pushes[w];
-              stats.edge_pushes += chunk_edges[w];
-              chunk_pushes[w] = 0;
-              chunk_edges[w] = 0;
-            }
-            return dangling > 0.0 ? dangling / n : 0.0;
-          });
-      rsum *= (1.0 - alpha);
-      stats.iterations++;
-    }
-  } else {
-    std::vector<double> next(n, 0.0);
-    while (rsum > options.lambda &&
-           stats.iterations < options.max_iterations) {
-      double dangling = 0.0;
-      for (NodeId v = 0; v < n; ++v) {
-        const double g = gamma[v];
-        if (g == 0.0) continue;
-        rank[v] += alpha * g;
-        const double push = (1.0 - alpha) * g;
-        const NodeId d = graph.OutDegree(v);
-        if (d == 0) {
-          dangling += push;
-          stats.edge_pushes += 1;
-        } else {
-          const double inc = push / d;
-          for (NodeId u : graph.OutNeighbors(v)) next[u] += inc;
-          stats.edge_pushes += d;
-        }
-        stats.push_operations++;
+  std::vector<double> next(n, 0.0);
+  while (rsum > options.lambda &&
+         stats.iterations < options.max_iterations) {
+    if (options.cancel != nullptr && options.cancel->ShouldStop()) break;
+    double dangling = 0.0;
+    for (NodeId v = 0; v < n; ++v) {
+      const double g = gamma[v];
+      if (g == 0.0) continue;
+      rank[v] += alpha * g;
+      const double push = (1.0 - alpha) * g;
+      const NodeId d = graph.OutDegree(v);
+      if (d == 0) {
+        dangling += push;
+        stats.edge_pushes += 1;
+      } else {
+        const double inc = push / d;
+        for (NodeId u : graph.OutNeighbors(v)) next[u] += inc;
+        stats.edge_pushes += d;
       }
-      if (dangling > 0.0) {
-        const double share = dangling / n;
-        for (NodeId v = 0; v < n; ++v) next[v] += share;
-      }
-      gamma.swap(next);
-      std::fill(next.begin(), next.end(), 0.0);
-      rsum *= (1.0 - alpha);
-      stats.iterations++;
+      stats.push_operations++;
     }
+    if (dangling > 0.0) {
+      const double share = dangling / n;
+      for (NodeId v = 0; v < n; ++v) next[v] += share;
+    }
+    gamma.swap(next);
+    std::fill(next.begin(), next.end(), 0.0);
+    rsum *= (1.0 - alpha);
+    stats.iterations++;
   }
   // Fold the remaining alive mass in as if it stopped where it stands —
   // bounds the final error by lambda while keeping the sum exactly 1.

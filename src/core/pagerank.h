@@ -5,6 +5,7 @@
 
 #include "core/workspace.h"
 #include "graph/graph.h"
+#include "util/cancellation.h"
 
 namespace ppr {
 
@@ -15,9 +16,9 @@ struct PageRankOptions {
   /// ℓ1 convergence threshold on the alive mass.
   double lambda = 1e-10;
   uint64_t max_iterations = 10000;
-  /// Worker threads for the per-iteration scan; 0 or 1 runs the serial
-  /// kernel, N > 1 the chunked-SpMV kernel (see PowerIterationOptions).
-  unsigned threads = 0;
+  /// Optional cooperative cancellation, polled once per iteration;
+  /// nullptr (the default) never polls.
+  const CancelToken* cancel = nullptr;
 };
 
 /// Global PageRank — the uniform-teleport special case of PPR
@@ -28,13 +29,12 @@ struct PageRankOptions {
 /// per-source "jump back to s" rule averages to uniform over all
 /// sources).
 ///
-/// Returns the PageRank vector (sums to 1). `thread_scratch` optionally
-/// lends the parallel kernel's per-thread accumulators (see
-/// ThreadDenseBuffers); nullptr allocates locally.
+/// Returns the PageRank vector (sums to 1). A stop through
+/// options.cancel ends the iteration early; the vector then still sums
+/// to 1 but carries more than lambda error.
 std::vector<double> PageRank(const Graph& graph,
                              const PageRankOptions& options = {},
-                             SolveStats* stats = nullptr,
-                             ThreadDenseBuffers* thread_scratch = nullptr);
+                             SolveStats* stats = nullptr);
 
 }  // namespace ppr
 

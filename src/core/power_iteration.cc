@@ -1,80 +1,21 @@
 #include "core/power_iteration.h"
 
+#include <algorithm>
 #include <vector>
 
-#include "core/scatter_merge.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace ppr {
 
-namespace {
-
-/// One parallel γ → (π̂, γ') step: chunks scatter their rows' pushes
-/// into per-chunk buffers, then the merge rebuilds gamma as the
-/// chunk-ordered sum (ScatterMergeStep re-zeroes the buffers). Returns
-/// the new rsum.
-double ParallelPowerStep(const Graph& graph, NodeId source, double alpha,
-                         const std::vector<uint64_t>& row_bounds,
-                         unsigned threads, std::vector<double>& gamma,
-                         std::vector<double>& reserve,
-                         ThreadDenseBuffers& deltas,
-                         std::vector<double>& chunk_rsum,
-                         std::vector<uint64_t>& chunk_pushes,
-                         std::vector<uint64_t>& chunk_edges,
-                         SolveStats* stats) {
-  ScatterMergeStep(
-      graph.num_nodes(), row_bounds, threads, deltas,
-      [&](unsigned c, uint64_t row_begin, uint64_t row_end,
-          std::vector<double>& delta) {
-        double rsum = 0.0;
-        for (uint64_t v = row_begin; v < row_end; ++v) {
-          const double r = gamma[v];
-          if (r == 0.0) continue;
-          reserve[v] += alpha * r;
-          const double push = (1.0 - alpha) * r;
-          const NodeId d = graph.OutDegree(static_cast<NodeId>(v));
-          if (d == 0) {
-            delta[source] += push;
-            chunk_edges[c] += 1;
-          } else {
-            const double inc = push / d;
-            for (NodeId u : graph.OutNeighbors(static_cast<NodeId>(v))) {
-              delta[u] += inc;
-            }
-            chunk_edges[c] += d;
-          }
-          rsum += push;
-          chunk_pushes[c]++;
-        }
-        chunk_rsum[c] = rsum;
-      },
-      gamma, /*accumulate=*/false);
-
-  double next_rsum = 0.0;
-  for (unsigned w = 0; w < threads; ++w) {
-    next_rsum += chunk_rsum[w];
-    stats->push_operations += chunk_pushes[w];
-    stats->edge_pushes += chunk_edges[w];
-    chunk_pushes[w] = 0;
-    chunk_edges[w] = 0;
-  }
-  return next_rsum;
-}
-
-}  // namespace
-
 SolveStats PowerIteration(const Graph& graph, NodeId source,
                           const PowerIterationOptions& options,
-                          PprEstimate* out, ConvergenceTrace* trace,
-                          ThreadDenseBuffers* thread_scratch) {
+                          PprEstimate* out, ConvergenceTrace* trace) {
   PPR_CHECK(source < graph.num_nodes());
   PPR_CHECK(options.lambda > 0.0);
   PPR_CHECK(options.alpha > 0.0 && options.alpha < 1.0);
 
   const NodeId n = graph.num_nodes();
   const double alpha = options.alpha;
-  const unsigned threads = options.threads <= 1 ? 1 : options.threads;
   Timer timer;
   if (trace != nullptr) trace->Start();
 
@@ -84,60 +25,35 @@ SolveStats PowerIteration(const Graph& graph, NodeId source,
   SolveStats stats;
   double rsum = 1.0;
 
-  if (threads > 1) {
-    const auto& offsets = graph.out_offsets();
-    const std::vector<uint64_t> row_bounds = BalancedChunkBounds(
-        n, threads,
-        [&](uint64_t v) { return offsets[v + 1] - offsets[v] + 1; });
-    ThreadDenseBuffers local;
-    ThreadDenseBuffers& deltas =
-        thread_scratch != nullptr ? *thread_scratch : local;
-    EnsureThreadBuffers(&deltas, threads, n);
-    std::vector<double> chunk_rsum(threads, 0.0);
-    std::vector<uint64_t> chunk_pushes(threads, 0);
-    std::vector<uint64_t> chunk_edges(threads, 0);
-    while (rsum > options.lambda &&
-           stats.iterations < options.max_iterations) {
-      if (options.cancel != nullptr && options.cancel->ShouldStop()) break;
-      rsum = ParallelPowerStep(graph, source, alpha, row_bounds, threads,
-                               gamma, out->reserve, deltas, chunk_rsum,
-                               chunk_pushes, chunk_edges, &stats);
-      stats.iterations++;
-      if (trace != nullptr && trace->Due(stats.edge_pushes)) {
-        trace->Record(stats.edge_pushes, rsum);
+  std::vector<double> next(n, 0.0);  // γ_{j+1}
+  while (rsum > options.lambda &&
+         stats.iterations < options.max_iterations) {
+    if (options.cancel != nullptr && options.cancel->ShouldStop()) break;
+    // One simultaneous step: π̂ += α γ;  γ' = (1−α) γ P.
+    double next_rsum = 0.0;
+    for (NodeId v = 0; v < n; ++v) {
+      const double r = gamma[v];
+      if (r == 0.0) continue;
+      out->reserve[v] += alpha * r;
+      const double push = (1.0 - alpha) * r;
+      const NodeId d = graph.OutDegree(v);
+      if (d == 0) {
+        next[source] += push;  // dead end: walk jumps back to the source
+        stats.edge_pushes += 1;
+      } else {
+        const double inc = push / d;
+        for (NodeId u : graph.OutNeighbors(v)) next[u] += inc;
+        stats.edge_pushes += d;
       }
+      next_rsum += push;
+      stats.push_operations++;
     }
-  } else {
-    std::vector<double> next(n, 0.0);  // γ_{j+1}
-    while (rsum > options.lambda &&
-           stats.iterations < options.max_iterations) {
-      if (options.cancel != nullptr && options.cancel->ShouldStop()) break;
-      // One simultaneous step: π̂ += α γ;  γ' = (1−α) γ P.
-      double next_rsum = 0.0;
-      for (NodeId v = 0; v < n; ++v) {
-        const double r = gamma[v];
-        if (r == 0.0) continue;
-        out->reserve[v] += alpha * r;
-        const double push = (1.0 - alpha) * r;
-        const NodeId d = graph.OutDegree(v);
-        if (d == 0) {
-          next[source] += push;  // dead end: walk jumps back to the source
-          stats.edge_pushes += 1;
-        } else {
-          const double inc = push / d;
-          for (NodeId u : graph.OutNeighbors(v)) next[u] += inc;
-          stats.edge_pushes += d;
-        }
-        next_rsum += push;
-        stats.push_operations++;
-      }
-      gamma.swap(next);
-      std::fill(next.begin(), next.end(), 0.0);
-      rsum = next_rsum;
-      stats.iterations++;
-      if (trace != nullptr && trace->Due(stats.edge_pushes)) {
-        trace->Record(stats.edge_pushes, rsum);
-      }
+    gamma.swap(next);
+    std::fill(next.begin(), next.end(), 0.0);
+    rsum = next_rsum;
+    stats.iterations++;
+    if (trace != nullptr && trace->Due(stats.edge_pushes)) {
+      trace->Record(stats.edge_pushes, rsum);
     }
   }
 

@@ -19,12 +19,6 @@ struct PowerIterationOptions {
   /// When true, `out` must already hold the canonical start state at
   /// size n and the O(n) Reset() is skipped (see PowerPushOptions).
   bool assume_initialized = false;
-  /// Worker threads for the per-iteration scan. 0 or 1 runs the serial
-  /// kernel (the historical bit pattern); N > 1 chunks the CSR rows by
-  /// edge count and scatters into per-thread buffers merged in worker
-  /// order — deterministic for a fixed N, equal to the serial result up
-  /// to floating-point reassociation (≈1e-12 ℓ1 in practice).
-  unsigned threads = 0;
   /// Optional cooperative cancellation, polled at every SpMV iteration
   /// boundary; nullptr (the default) never polls.
   const CancelToken* cancel = nullptr;
@@ -39,15 +33,10 @@ struct PowerIterationOptions {
 /// (the paper's conceptual dead-end→source edge).
 ///
 /// On return, out->reserve is π̂ and out->residue is the final γ.
-///
-/// `thread_scratch`, when non-null, lends the per-thread accumulators
-/// (see ThreadDenseBuffers) so a reused SolverContext pays their O(n·T)
-/// initialization once, not per query; nullptr allocates locally.
 SolveStats PowerIteration(const Graph& graph, NodeId source,
                           const PowerIterationOptions& options,
                           PprEstimate* out,
-                          ConvergenceTrace* trace = nullptr,
-                          ThreadDenseBuffers* thread_scratch = nullptr);
+                          ConvergenceTrace* trace = nullptr);
 
 }  // namespace ppr
 

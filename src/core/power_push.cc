@@ -3,69 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/scatter_merge.h"
 #include "util/fifo_queue.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace ppr {
-
-namespace {
-
-/// One simultaneous scan pass over edge-balanced row chunks: every node
-/// active w.r.t. epoch_rmax is pushed against the residue snapshot, the
-/// outgoing mass lands in per-chunk buffers, and the merge folds the
-/// buffers back into the residue in chunk order (accumulate mode: the
-/// residue keeps its sub-threshold entries). Returns the number of
-/// pushes performed.
-uint64_t ParallelScanPass(const Graph& graph, NodeId source, double alpha,
-                          double epoch_rmax,
-                          const std::vector<uint64_t>& row_bounds,
-                          unsigned threads, PprEstimate* out,
-                          ThreadDenseBuffers& deltas, SolveStats* stats) {
-  std::vector<double>& reserve = out->reserve;
-  std::vector<double>& residue = out->residue;
-  const auto& offsets = graph.out_offsets();
-  const auto& targets = graph.out_targets();
-  std::vector<uint64_t> chunk_pushes(threads, 0);
-  std::vector<uint64_t> chunk_edges(threads, 0);
-  ScatterMergeStep(
-      graph.num_nodes(), row_bounds, threads, deltas,
-      [&](unsigned c, uint64_t row_begin, uint64_t row_end,
-          std::vector<double>& delta) {
-        for (uint64_t v = row_begin; v < row_end; ++v) {
-          const double r = residue[v];
-          const NodeId d = static_cast<NodeId>(offsets[v + 1] - offsets[v]);
-          const NodeId deff = d == 0 ? 1 : d;
-          if (r <= static_cast<double>(deff) * epoch_rmax) continue;
-          reserve[v] += alpha * r;
-          const double push = (1.0 - alpha) * r;
-          residue[v] = 0.0;
-          if (d == 0) {
-            delta[source] += push;
-            chunk_edges[c] += 1;
-          } else {
-            const double inc = push / d;
-            for (EdgeId e = offsets[v]; e < offsets[v + 1]; ++e) {
-              delta[targets[e]] += inc;
-            }
-            chunk_edges[c] += d;
-          }
-          chunk_pushes[c]++;
-        }
-      },
-      residue, /*accumulate=*/true);
-
-  uint64_t pushes = 0;
-  for (unsigned w = 0; w < threads; ++w) {
-    pushes += chunk_pushes[w];
-    stats->push_operations += chunk_pushes[w];
-    stats->edge_pushes += chunk_edges[w];
-  }
-  return pushes;
-}
-
-}  // namespace
 
 double PaperLambda(const Graph& graph) {
   return std::min(1e-8, 1.0 / static_cast<double>(graph.num_edges()));
@@ -73,8 +14,7 @@ double PaperLambda(const Graph& graph) {
 
 SolveStats PowerPush(const Graph& graph, NodeId source,
                      const PowerPushOptions& options, PprEstimate* out,
-                     ConvergenceTrace* trace, FifoQueue* scratch,
-                     ThreadDenseBuffers* thread_scratch) {
+                     ConvergenceTrace* trace, FifoQueue* scratch) {
   PPR_CHECK(source < graph.num_nodes());
   PPR_CHECK(options.lambda > 0.0 && options.lambda < 1.0);
   PPR_CHECK(options.alpha > 0.0 && options.alpha < 1.0);
@@ -151,17 +91,6 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
 
   // ---- Phase 2: global scans with a dynamic threshold. ----
   if (rsum > lambda && !stopped()) {
-    const unsigned threads = options.threads <= 1 ? 1 : options.threads;
-    std::vector<uint64_t> row_bounds;
-    ThreadDenseBuffers local_buffers;
-    ThreadDenseBuffers* deltas = nullptr;
-    if (threads > 1) {
-      const auto& off = graph.out_offsets();
-      row_bounds = BalancedChunkBounds(
-          n, threads, [&](uint64_t v) { return off[v + 1] - off[v] + 1; });
-      deltas = thread_scratch != nullptr ? thread_scratch : &local_buffers;
-      EnsureThreadBuffers(deltas, threads, n);
-    }
     const int epochs = options.use_epochs ? options.epoch_num : 1;
     const auto& offsets = graph.out_offsets();
     const auto& targets = graph.out_targets();
@@ -176,18 +105,6 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
           epoch_target / static_cast<double>(graph.num_edges());
       while (rsum > epoch_target) {
         if (stopped()) break;
-        if (threads > 1) {
-          const uint64_t pushes = ParallelScanPass(
-              graph, source, alpha, epoch_rmax, row_bounds, threads, out,
-              *deltas, &stats);
-          stats.iterations++;
-          rsum = out->ResidueSum();
-          if (trace != nullptr && trace->Due(stats.edge_pushes)) {
-            trace->Record(stats.edge_pushes, rsum);
-          }
-          if (pushes == 0) break;
-          continue;
-        }
         // One asynchronous pass over the concatenated adjacency array:
         // pushes later in the pass see residue deposited earlier in the
         // same pass.

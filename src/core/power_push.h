@@ -31,16 +31,6 @@ struct PowerPushOptions {
   /// Reset() is skipped — the api/ adapters pair this with a
   /// SolverContext sparse reset.
   bool assume_initialized = false;
-  /// Worker threads for the global scan phase. 0 or 1 keeps the paper's
-  /// asynchronous sequential scan (pushes see residue deposited earlier
-  /// in the same pass). N > 1 runs each pass as a chunked SpMV with
-  /// per-thread residue buffers merged in worker order: pushes become
-  /// simultaneous within a pass (possibly a few more passes to reach the
-  /// epoch target) but every pass is parallel, the exit test still uses
-  /// the exact residue sum, and the λ certificate at termination is
-  /// unchanged. Deterministic for a fixed N. The FIFO phase is
-  /// inherently sequential and always runs on one thread.
-  unsigned threads = 0;
   /// Optional cooperative cancellation: polled every ~1024 pushes in the
   /// FIFO phase and at every scan-pass boundary in the global phase.
   /// nullptr (the default) never polls.
@@ -74,13 +64,10 @@ double PaperLambda(const Graph& graph);
 /// termination (every node inactive w.r.t. λ/m).
 /// `queue` optionally supplies a reusable scratch FIFO for the local
 /// phase (see FifoForwardPush); nullptr allocates one per call.
-/// `thread_scratch` optionally lends the parallel scan's per-thread
-/// buffers (see ThreadDenseBuffers); nullptr allocates locally.
 SolveStats PowerPush(const Graph& graph, NodeId source,
                      const PowerPushOptions& options, PprEstimate* out,
                      ConvergenceTrace* trace = nullptr,
-                     FifoQueue* queue = nullptr,
-                     ThreadDenseBuffers* thread_scratch = nullptr);
+                     FifoQueue* queue = nullptr);
 
 }  // namespace ppr
 

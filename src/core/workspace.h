@@ -73,15 +73,13 @@ struct SolveStats {
   double final_rsum = 0.0;
 };
 
-/// Per-thread dense accumulators used by the parallel iteration kernels
-/// (PowItr, PageRank, PowerPush's scan phase): worker w scatters its
-/// chunk's pushes into buffer w, and a merge pass folds the buffers into
-/// the real vector in fixed worker order so results are deterministic
-/// for a given thread count.
+/// Per-worker dense accumulators, used by MonteCarloInto's dense
+/// stop counts: worker w counts its walks' stops into buffer w, and a
+/// merge pass folds the buffers into the real vector.
 ///
 /// Contract: buffers handed to a kernel must be all-zero, and every
 /// kernel returns them all-zero (the merge re-zeroes whatever the
-/// scatter touched), so a SolverContext can lend the same buffers to
+/// workers touched), so a SolverContext can lend the same buffers to
 /// query after query without O(n·threads) reinitialization.
 using ThreadDenseBuffers = std::vector<std::vector<double>>;
 

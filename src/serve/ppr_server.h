@@ -87,7 +87,7 @@ struct ServeRequest {
 struct PprServerOptions {
   /// Serving threads — concurrent queries in flight. 0 → ThreadBudget().
   /// Each worker runs its query's serial phases itself and shares the
-  /// budgeted WorkerPool for the parallel kernels, so total compute
+  /// budgeted WorkerPool for the parallel stages, so total compute
   /// threads are bounded by workers + the pool — not by workers ×
   /// threads= as the old spawn-per-stage scheme multiplied. Keep
   /// workers within the machine share you intend the server to use.

@@ -1,10 +1,10 @@
 // Conformance for the fused multi-source batch tier (api/batch_solver.h
 // + core/multi_source.cc): at every batch size and thread count, a
 // fused SolveMany must agree with B independent serial solves of the
-// same spec — bit-identical where the per-column op sequence is
-// replicated exactly (serial dense kernels, FORA's walk phase), within
-// 1e-12 where a parallel merge reorders float additions. The suites are
-// named Batch* so scripts/check.sh runs them under TSAN as well.
+// same spec bit for bit: the fused kernel replicates each column's op
+// sequence exactly in one serial sweep, and FORA's walk phase is
+// thread-count-invariant. The suites are named Batch* so
+// scripts/check.sh runs them under TSAN as well.
 
 #include "api/batch_solver.h"
 
@@ -48,22 +48,18 @@ std::vector<PprQuery> MakeQueries(const Graph& graph, size_t count) {
   return queries;
 }
 
-void ExpectClose(const std::vector<double>& a, const std::vector<double>& b,
-                 double tolerance, const std::string& context) {
+void ExpectIdentical(const std::vector<double>& a,
+                     const std::vector<double>& b,
+                     const std::string& context) {
   ASSERT_EQ(a.size(), b.size()) << context;
   for (size_t v = 0; v < a.size(); ++v) {
-    if (tolerance == 0.0) {
-      ASSERT_EQ(a[v], b[v]) << context << " node " << v;
-    } else {
-      ASSERT_NEAR(a[v], b[v], tolerance) << context << " node " << v;
-    }
+    ASSERT_EQ(a[v], b[v]) << context << " node " << v;
   }
 }
 
 // Fused powitr vs the classic (batch=0) serial power iteration: the
 // fused power mode replays the serial kernel's per-column op sequence,
-// so single-threaded blocks are bit-identical at every B, and parallel
-// blocks stay within the SpMV merge tolerance.
+// so blocks are bit-identical at every B and every thread count.
 TEST(BatchFusedTest, PowitrFusedMatchesClassicSerial) {
   const Graph graph = TestGraph();
   auto classic = MakeSolver("powitr:lambda=1e-6", graph);
@@ -94,11 +90,8 @@ TEST(BatchFusedTest, PowitrFusedMatchesClassicSerial) {
       ASSERT_EQ(results.size(), queries.size());
       for (size_t i = 0; i < queries.size(); ++i) {
         ASSERT_TRUE(statuses[i].ok()) << spec;
-        // Serial blocks replicate the op sequence exactly; parallel
-        // blocks reorder the merge, so only 1e-12 agreement is claimed.
-        ExpectClose(results[i].scores, expected[i].scores,
-                    threads <= 1 ? 0.0 : 1e-12,
-                    spec + " query " + std::to_string(i));
+        ExpectIdentical(results[i].scores, expected[i].scores,
+                        spec + " query " + std::to_string(i));
         EXPECT_EQ(results[i].solver, "powitr");
       }
       // A block sweeps the CSR as often as its slowest source iterates,
@@ -146,12 +139,8 @@ TEST(BatchFusedTest, FwdpushFusedMatchesPerQuerySolve) {
       std::vector<PprResult> results;
       ASSERT_TRUE(fused->SolveMany(queries, context, &results).ok()) << spec;
       for (size_t i = 0; i < queries.size(); ++i) {
-        // The B=1 baseline and the fused block partition the scatter
-        // differently under threads > 1, so exact equality is only
-        // claimed for the serial scan.
-        ExpectClose(results[i].scores, expected[i].scores,
-                    threads <= 1 ? 0.0 : 1e-12,
-                    spec + " query " + std::to_string(i));
+        ExpectIdentical(results[i].scores, expected[i].scores,
+                        spec + " query " + std::to_string(i));
       }
     }
   }
@@ -192,8 +181,8 @@ TEST(BatchFusedTest, FwdpushFusedKeepsCertificateAndMass) {
 
 // Fused FORA with explicit seeds is bit-identical to Reseed(seed) +
 // Solve of the same spec, at every batch size and thread count: the
-// scan phase is forced serial inside the fused kernel and the walk
-// phase is thread-count-invariant by construction.
+// fused scan is serial and the walk phase is thread-count-invariant by
+// construction.
 TEST(BatchForaTest, FusedBitIdenticalToSeededSerial) {
   const Graph graph = TestGraph();
   const std::vector<PprQuery> queries = MakeQueries(graph, 6);
@@ -227,8 +216,8 @@ TEST(BatchForaTest, FusedBitIdenticalToSeededSerial) {
                       .ok())
           << spec;
       for (size_t i = 0; i < queries.size(); ++i) {
-        ExpectClose(results[i].scores, expected[i].scores, 0.0,
-                    spec + " query " + std::to_string(i));
+        ExpectIdentical(results[i].scores, expected[i].scores,
+                        spec + " query " + std::to_string(i));
       }
     }
   }
@@ -248,8 +237,8 @@ TEST(BatchForaTest, UnseededSolveManyReproducibleFromContextSeed) {
   ASSERT_TRUE(fused->SolveMany(queries, a, &first).ok());
   ASSERT_TRUE(fused->SolveMany(queries, b, &second).ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectClose(first[i].scores, second[i].scores, 0.0,
-                "query " + std::to_string(i));
+    ExpectIdentical(first[i].scores, second[i].scores,
+                    "query " + std::to_string(i));
   }
 }
 

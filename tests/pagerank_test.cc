@@ -1,9 +1,19 @@
 #include "core/pagerank.h"
 
+#include <chrono>
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "api/context.h"
+#include "api/registry.h"
+#include "api/solver.h"
 #include "eval/metrics.h"
+#include "graph/generators.h"
 #include "test_util.h"
+#include "util/cancellation.h"
+#include "util/rng.h"
 
 namespace ppr {
 namespace {
@@ -86,6 +96,58 @@ TEST(PageRankTest, StatsReported) {
   PageRank(g, options, &stats);
   EXPECT_GT(stats.push_operations, 0u);
   EXPECT_LE(stats.final_rsum, options.lambda);
+}
+
+TEST(PageRankTest, CancelledTokenStopsBeforeTheFirstIteration) {
+  Graph g = CycleGraph(16);
+  CancelToken token;
+  token.RequestCancel();
+  PageRankOptions options;
+  options.cancel = &token;
+  SolveStats stats;
+  std::vector<double> rank = PageRank(g, options, &stats);
+  EXPECT_EQ(stats.iterations, 0u);
+  EXPECT_EQ(stats.push_operations, 0u);
+  // The unspent start vector is folded in, so the mass is still whole.
+  EXPECT_NEAR(testing::Sum(rank), 1.0, 1e-12);
+}
+
+TEST(PageRankTest, RegistrySolveStopsOnItsToken) {
+  Rng rng(5);
+  const Graph graph = BarabasiAlbert(20000, 4, rng);
+  auto created = SolverRegistry::Global().Create("pagerank");
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
+  ASSERT_TRUE(solver->Prepare(graph).ok());
+  SolverContext context;
+  PprResult full;
+  ASSERT_TRUE(solver->Solve({.source = 0}, context, &full).ok());
+
+  CancelToken cancelled;
+  cancelled.RequestCancel();
+  context.set_cancel_token(&cancelled);
+  PprResult result;
+  EXPECT_FALSE(solver->Solve({.source = 0}, context, &result).ok());
+
+  // A deadline that expires mid-solve stops the iteration there instead
+  // of running all of it before the post-check fails the query. Budgets
+  // grow until one lands inside the kernel.
+  bool stopped_mid_solve = false;
+  std::chrono::microseconds budget(100);
+  for (int attempt = 0; attempt < 30 && !stopped_mid_solve; ++attempt) {
+    CancelToken token;
+    token.ArmDeadline(std::chrono::steady_clock::now() + budget);
+    context.set_cancel_token(&token);
+    result.stats = SolveStats{};
+    const Status status = solver->Solve({.source = 0}, context, &result);
+    const uint64_t iterations = result.stats.iterations;
+    stopped_mid_solve = status.code() == StatusCode::kDeadlineExceeded &&
+                        iterations > 0 &&
+                        iterations < full.stats.iterations;
+    budget = budget * 3 / 2;
+  }
+  context.set_cancel_token(nullptr);
+  EXPECT_TRUE(stopped_mid_solve);
 }
 
 }  // namespace

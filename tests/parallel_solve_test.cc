@@ -1,6 +1,6 @@
-// Parallel hot paths: thread-count invariance of the walk phases,
-// serial-vs-parallel exactness of the dense iteration kernels, the
-// order= layout round trip, and the WalkIndex cache_dir= option.
+// Parallel hot paths: thread-count invariance of the walk phases and
+// of every registry solver end to end, the order= layout round trip,
+// and the WalkIndex cache_dir= option.
 
 #include <cmath>
 #include <filesystem>
@@ -18,9 +18,6 @@
 #include "approx/monte_carlo.h"
 #include "approx/residue_walks.h"
 #include "approx/walk_index.h"
-#include "core/pagerank.h"
-#include "core/power_iteration.h"
-#include "core/power_push.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -166,74 +163,6 @@ TEST(RegistryParallelTest, ForaIsThreadCountInvariantEndToEnd) {
 }
 
 // ---------------------------------------------------------------------
-// Dense kernels: parallel vs serial
-// ---------------------------------------------------------------------
-
-TEST(ParallelKernelTest, PowerIterationMatchesSerialTo1e12) {
-  const Graph graph = MidSizeGraph();
-  PowerIterationOptions options;
-  options.lambda = 1e-10;
-  PprEstimate serial;
-  SolveStats serial_stats = PowerIteration(graph, 0, options, &serial);
-
-  for (unsigned threads : {2u, 4u}) {
-    options.threads = threads;
-    PprEstimate parallel;
-    SolveStats stats = PowerIteration(graph, 0, options, &parallel);
-    EXPECT_LE(L1(serial.reserve, parallel.reserve), 1e-12) << threads;
-    EXPECT_EQ(serial_stats.iterations, stats.iterations) << threads;
-    EXPECT_EQ(serial_stats.push_operations, stats.push_operations) << threads;
-    EXPECT_LE(stats.final_rsum, options.lambda) << threads;
-  }
-}
-
-TEST(ParallelKernelTest, PowerIterationParallelIsDeterministic) {
-  const Graph graph = MidSizeGraph();
-  PowerIterationOptions options;
-  options.lambda = 1e-8;
-  options.threads = 4;
-  PprEstimate a, b;
-  PowerIteration(graph, 3, options, &a);
-  PowerIteration(graph, 3, options, &b);
-  ASSERT_EQ(a.reserve, b.reserve);
-  ASSERT_EQ(a.residue, b.residue);
-}
-
-TEST(ParallelKernelTest, PageRankMatchesSerialTo1e12) {
-  const Graph graph = MidSizeGraph();
-  PageRankOptions options;
-  const std::vector<double> serial = PageRank(graph, options);
-  for (unsigned threads : {2u, 4u}) {
-    options.threads = threads;
-    const std::vector<double> parallel = PageRank(graph, options);
-    EXPECT_LE(L1(serial, parallel), 1e-12) << threads;
-    EXPECT_NEAR(Sum(parallel), 1.0, 1e-9) << threads;
-  }
-}
-
-TEST(ParallelKernelTest, PowerPushParallelScanKeepsTheCertificate) {
-  const Graph graph = testing::SmallGraphZoo()[7].graph;  // ba_120
-  const std::vector<double> exact = ExactPprDense(graph, 1, 0.2);
-  PowerPushOptions options;
-  options.lambda = 1e-9;
-  for (unsigned threads : {1u, 4u}) {
-    options.threads = threads;
-    PprEstimate estimate;
-    SolveStats stats = PowerPush(graph, 1, options, &estimate);
-    EXPECT_LE(stats.final_rsum, options.lambda) << threads;
-    EXPECT_LE(L1(estimate.reserve, exact), 2 * options.lambda) << threads;
-    EXPECT_NEAR(Sum(estimate.reserve) + Sum(estimate.residue), 1.0, 1e-9)
-        << threads;
-  }
-  // Fixed thread count → fixed result.
-  options.threads = 4;
-  PprEstimate a, b;
-  PowerPush(graph, 1, options, &a);
-  PowerPush(graph, 1, options, &b);
-  ASSERT_EQ(a.reserve, b.reserve);
-}
-
-// ---------------------------------------------------------------------
 // Conformance sweep: every solver under threads=4 and each order=
 // ---------------------------------------------------------------------
 
@@ -300,6 +229,39 @@ TEST(RegistryParallelTest, ConformanceUnderThreadsAndOrders) {
       ASSERT_TRUE(solver->Solve(query, context, &replay).ok()) << spec;
       ASSERT_EQ(result.scores, replay.scores) << spec;
     }
+  }
+}
+
+// Every registry solver gives the same bits at every threads= setting:
+// the dense kernels run one serial sweep, and the walk phases, mc and
+// the single-pair fan-out derive their RNG streams from block or target
+// ids, never from the worker count.
+TEST(RegistryParallelTest, EverySolverIsBitIdenticalAcrossThreadCounts) {
+  // Large enough that the walk phases clear their parallel cutoff.
+  const Graph general = MidSizeGraph();
+  const Graph strict = AsymmetricStrictGraph();
+
+  for (const std::string& name : SolverRegistry::Global().Names()) {
+    std::vector<PprResult> results;
+    for (const char* variant : {":threads=1", ":threads=4"}) {
+      const std::string spec = name + variant;
+      auto created = SolverRegistry::Global().Create(spec);
+      ASSERT_TRUE(created.ok()) << spec << ": " << created.status().ToString();
+      std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
+      const Graph& graph =
+          SweepFixture(solver->capabilities(), general, strict);
+      ASSERT_TRUE(solver->Prepare(graph).ok()) << spec;
+
+      SolverContext context(kSeed);
+      PprQuery query;
+      query.source = 3;
+      query.want_residues = true;
+      PprResult result;
+      ASSERT_TRUE(solver->Solve(query, context, &result).ok()) << spec;
+      results.push_back(std::move(result));
+    }
+    ASSERT_EQ(results[0].scores, results[1].scores) << name;
+    ASSERT_EQ(results[0].residues, results[1].residues) << name;
   }
 }
 
